@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
         report.add_metric(strprintf("verified_pairs_e%d", e_pct),
                           static_cast<double>(detail.verified_pairs));
       }
+      report.add_metric("peak_rss_mb", peak_rss_mb(), "MiB");
       report.write(json);
       std::cout << "BenchReport written to " << json << "\n";
     }

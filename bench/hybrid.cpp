@@ -202,6 +202,8 @@ int main(int argc, char** argv) {
   report.add_metric("bases_copied", static_cast<double>(t.bases_copied));
   report.add_metric("sharded_bases_copied",
                     static_cast<double>(sharded.timings.bases_copied));
+  // Measured, but runner-speed independent: CI caps it with a ceiling.
+  report.add_metric("peak_rss_mb", peak_rss_mb(), "MiB");
   if (!json.empty()) {
     report.write(json);
     std::cout << "\nBenchReport written to " << json << "\n";

@@ -1,5 +1,7 @@
 #include "common/bench_report.hpp"
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -115,6 +117,14 @@ void BenchReport::write(const std::string& path) const {
   if (!os) throw IoError("cannot open '" + path + "' for writing");
   os << to_json();
   if (!os) throw IoError("failed writing bench report to '" + path + "'");
+}
+
+double peak_rss_mb() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) {
+    throw IoError("getrusage(RUSAGE_SELF) failed");
+  }
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
 }  // namespace pimwfa

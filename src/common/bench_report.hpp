@@ -68,4 +68,9 @@ class BenchReport {
   std::vector<Metric> metrics_;
 };
 
+// Peak resident memory of this process so far, in MiB (getrusage
+// ru_maxrss): a measured number that does not move with runner speed, so
+// CI can gate it with a ceiling.
+double peak_rss_mb();
+
 }  // namespace pimwfa

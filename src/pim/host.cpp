@@ -183,15 +183,12 @@ PimBatchResult run_pipelined(const BatchRun& run,
   // and run at full rank parallelism.
   const usize ranks = system.ranks_spanned(0, run.logical);
 
-  // Fill phase: one header per DPU (the batch geometry is chunk-invariant)
-  // and the MRAM extents reserved so the overlapped stages can touch
-  // disjoint regions of one DPU concurrently.
+  // Fill phase: one header per DPU (the batch geometry is chunk-invariant).
   u64 header_bytes_unsimulated = 0;
   for (usize d = 0; d < run.simulated; ++d) {
     const auto [begin, end] = run.range_of(d);
     const BatchLayout layout = run.layout_for(end - begin);
     const BatchHeader& h = layout.header();
-    system.reserve_mram(d, layout.total_bytes());
     system.copy_to_mram(d, 0,
                         {reinterpret_cast<const u8*>(&h), sizeof(BatchHeader)});
   }
@@ -227,8 +224,8 @@ PimBatchResult run_pipelined(const BatchRun& run,
   std::vector<std::vector<u64>> launch_cycles(chunks);
 
   // Stage bodies. Each touches only its chunk's slice of every DPU, so
-  // stages of different chunks are data-race free once the MRAM extents
-  // are reserved.
+  // stages of different chunks access disjoint MRAM bytes, which the paged
+  // MRAM makes data-race free.
   auto scatter_chunk = [&](usize c) {
     std::vector<u8> record;
     u64 accounted = WfaDpuKernel::kLaunchArgBytes * static_cast<u64>(run.logical);
@@ -641,7 +638,13 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
   const usize simulated = options_.simulate_dpus == 0
                               ? logical
                               : std::min(options_.simulate_dpus, logical);
-  upmem::PimSystem system(options_.system, simulated);
+  std::unique_ptr<upmem::PimSystem> owned = take_system(simulated);
+  upmem::PimSystem& system = *owned;
+  // Every successful return hands the system back; a throw drops it.
+  const auto finish = [&](PimBatchResult out) {
+    give_back(std::move(owned));
+    return out;
+  };
 
   BatchRun run{options_, batch, system};
   run.full = scope == align::AlignmentScope::kFull;
@@ -756,7 +759,7 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
       tiled_run.max_text = tiled.max_text;
       tiled_run.virtual_n = tiled.segments.size();
       // Pipelined mode falls back to the synchronous tiled path.
-      return run_tiled(tiled_run, tiled, batch.size(), pool);
+      return finish(run_tiled(tiled_run, tiled, batch.size(), pool));
     }
   }
 
@@ -778,9 +781,31 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
     params.requested_chunks = options_.pipeline_chunks;
     params.max_chunks = options_.pipeline_max_chunks;
     const PipelineSchedule schedule = PipelineSchedule::plan(params);
-    if (schedule.pipelined()) return run_pipelined(run, schedule, pool);
+    if (schedule.pipelined()) {
+      return finish(run_pipelined(run, schedule, pool));
+    }
   }
-  return run_synchronous(run, pool);
+  return finish(run_synchronous(run, pool));
+}
+
+std::unique_ptr<upmem::PimSystem> PimBatchAligner::take_system(
+    usize simulated) {
+  {
+    MutexLock lock(idle_systems_mutex_);
+    if (!idle_systems_.empty()) {
+      std::unique_ptr<upmem::PimSystem> system =
+          std::move(idle_systems_.back());
+      idle_systems_.pop_back();
+      system->reset_transfer_stats();
+      return system;
+    }
+  }
+  return std::make_unique<upmem::PimSystem>(options_.system, simulated);
+}
+
+void PimBatchAligner::give_back(std::unique_ptr<upmem::PimSystem> system) {
+  MutexLock lock(idle_systems_mutex_);
+  idle_systems_.push_back(std::move(system));
 }
 
 }  // namespace pimwfa::pim

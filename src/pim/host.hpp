@@ -20,12 +20,14 @@
 // the pairs of the simulated DPUs only (a contiguous prefix).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "align/aligner.hpp"
 #include "align/batch.hpp"
 #include "common/thread_pool.hpp"
+#include "common/thread_safety.hpp"
 #include "pim/cost_table.hpp"
 #include "pim/layout.hpp"
 #include "pim/pipeline.hpp"
@@ -145,8 +147,12 @@ class PimBatchAligner final : public align::BatchAligner {
   // given, parallelizes the host-side simulation: independent DPUs in the
   // synchronous path, concurrent pipeline stages in pipelined mode (a
   // simulator concern only; it does not affect modeled timing). Safe to
-  // call concurrently on distinct batches: each call simulates its own
-  // PimSystem.
+  // call concurrently on distinct batches: each call takes a PimSystem of
+  // its own from this aligner's pool of idle systems (building one when
+  // all are busy) and hands it back when it returns, so the pool holds at
+  // most as many systems as calls ever ran at once. A reused system's
+  // stale MRAM/WRAM bytes are harmless: the DPU kernel and the result
+  // decoder read only bytes written earlier in the same call.
   PimBatchResult align_batch(seq::ReadPairSpan batch,
                              align::AlignmentScope scope,
                              ThreadPool* pool = nullptr);
@@ -173,7 +179,17 @@ class PimBatchAligner final : public align::BatchAligner {
                                                 usize d);
 
  private:
+  // An idle system with its transfer stats reset, or a new one.
+  std::unique_ptr<upmem::PimSystem> take_system(usize simulated)
+      PIMWFA_EXCLUDES(idle_systems_mutex_);
+  void give_back(std::unique_ptr<upmem::PimSystem> system)
+      PIMWFA_EXCLUDES(idle_systems_mutex_);
+
   PimOptions options_;
+  Mutex idle_systems_mutex_;
+  // Systems of finished calls. A call that throws drops its system.
+  std::vector<std::unique_ptr<upmem::PimSystem>> idle_systems_
+      PIMWFA_GUARDED_BY(idle_systems_mutex_);
 };
 
 }  // namespace pimwfa::pim

@@ -1,19 +1,24 @@
 #include "upmem/mram.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
 
 namespace pimwfa::upmem {
-namespace {
 
-constexpr u64 kGrowChunk = 64 * 1024;  // growth granularity
-
-}  // namespace
-
-Mram::Mram(u64 capacity_bytes) : capacity_(capacity_bytes) {
+Mram::Mram(u64 capacity_bytes)
+    : capacity_(capacity_bytes),
+      nr_pages_(ceil_div(capacity_bytes, kPageBytes)) {
   PIMWFA_ARG_CHECK(capacity_bytes > 0, "MRAM capacity must be positive");
+  pages_ = std::make_unique<std::atomic<u8*>[]>(static_cast<usize>(nr_pages_));
+}
+
+Mram::~Mram() {
+  for (u64 i = 0; i < nr_pages_; ++i) {
+    delete[] pages_[i].load(std::memory_order_relaxed);
+  }
 }
 
 void Mram::check_range(u64 addr, usize bytes) const {
@@ -22,43 +27,51 @@ void Mram::check_range(u64 addr, usize bytes) const {
                                   << ") exceeds capacity " << capacity_);
 }
 
-void Mram::ensure(u64 end) {
-  if (end <= store_.size()) return;
-  store_.resize(static_cast<usize>(
-      std::min(capacity_, round_up_pow2(end, kGrowChunk))));
+u8* Mram::page_for_write(u64 index) {
+  u8* page = pages_[index].load(std::memory_order_acquire);
+  if (page != nullptr) return page;
+  u8* fresh = new u8[kPageBytes]();
+  if (pages_[index].compare_exchange_strong(page, fresh,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+    resident_pages_.fetch_add(1, std::memory_order_relaxed);
+    return fresh;
+  }
+  delete[] fresh;  // another writer installed it first; `page` holds theirs
+  return page;
 }
 
 void Mram::read(u64 addr, void* dst, usize bytes) const {
   check_range(addr, bytes);
-  if (bytes == 0) return;
-  const u64 have = store_.size();
-  if (addr >= have) {
-    std::memset(dst, 0, bytes);  // untouched DRAM reads as zero
-    return;
+  u8* out = static_cast<u8*>(dst);
+  while (bytes > 0) {
+    const u64 offset = addr % kPageBytes;
+    const usize step =
+        static_cast<usize>(std::min<u64>(bytes, kPageBytes - offset));
+    const u8* page = pages_[addr / kPageBytes].load(std::memory_order_acquire);
+    if (page == nullptr) {
+      std::memset(out, 0, step);
+    } else {
+      std::memcpy(out, page + offset, step);
+    }
+    out += step;
+    addr += step;
+    bytes -= step;
   }
-  const usize from_store = static_cast<usize>(std::min<u64>(bytes, have - addr));
-  std::memcpy(dst, store_.data() + addr, from_store);
-  if (from_store < bytes) {
-    std::memset(static_cast<u8*>(dst) + from_store, 0, bytes - from_store);
-  }
-}
-
-void Mram::reserve(u64 end) {
-  check_range(0, static_cast<usize>(end));
-  ensure(end);
 }
 
 void Mram::write(u64 addr, const void* src, usize bytes) {
   check_range(addr, bytes);
-  if (bytes == 0) return;
-  ensure(addr + bytes);
-  std::memcpy(store_.data() + addr, src, bytes);
-}
-
-void Mram::clear(u64 bytes) {
-  check_range(0, static_cast<usize>(bytes));
-  const u64 upto = std::min<u64>(bytes, store_.size());
-  std::memset(store_.data(), 0, static_cast<usize>(upto));
+  const u8* in = static_cast<const u8*>(src);
+  while (bytes > 0) {
+    const u64 offset = addr % kPageBytes;
+    const usize step =
+        static_cast<usize>(std::min<u64>(bytes, kPageBytes - offset));
+    std::memcpy(page_for_write(addr / kPageBytes) + offset, in, step);
+    in += step;
+    addr += step;
+    bytes -= step;
+  }
 }
 
 }  // namespace pimwfa::upmem

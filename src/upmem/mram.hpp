@@ -1,12 +1,23 @@
 // Simulated MRAM: the 64 MB DRAM bank private to one DPU.
 //
 // Byte-addressable from the host side and via the DPU's DMA engine.
-// Backing storage is grown lazily in chunks so instantiating thousands of
-// DPUs costs memory proportional to the data actually placed in them.
-// Out-of-bounds accesses throw HardwareFault.
+// Backing storage is a sparse store of fixed 64 KiB pages: a page is
+// allocated (zeroed) on its first write, and a read of a page never
+// written returns zeros without allocating - fresh DRAM is zeroed by the
+// host runtime. Instantiating thousands of DPUs, or a batch layout that
+// spreads its arenas over the whole bank, therefore costs memory
+// proportional to the pages actually written. Out-of-bounds accesses
+// throw HardwareFault.
+//
+// Pages are installed by compare-and-swap into a flat per-DPU table of
+// atomic page pointers and never freed before the Mram is, so concurrent
+// reads and writes of disjoint byte ranges are safe without external
+// locking - including two writers first-touching the same page. Accesses
+// to overlapping bytes still need an ordering of their own.
 #pragma once
 
-#include <vector>
+#include <atomic>
+#include <memory>
 
 #include "common/types.hpp"
 
@@ -14,23 +25,24 @@ namespace pimwfa::upmem {
 
 class Mram {
  public:
+  static constexpr u64 kPageBytes = 64 * 1024;
+
   explicit Mram(u64 capacity_bytes);
+  ~Mram();
+  // Owns its pages; the destructor frees them.
+  Mram(const Mram&) = delete;
+  Mram& operator=(const Mram&) = delete;
 
   u64 capacity() const noexcept { return capacity_; }
-  // High-water mark of touched bytes (allocation footprint of the sim).
-  u64 touched() const noexcept { return store_.size(); }
+  // Resident bytes: kPageBytes per page written at least once (the
+  // allocation footprint of the simulation).
+  u64 touched() const noexcept {
+    // Relaxed: an observability count, not a synchronization point.
+    return resident_pages_.load(std::memory_order_relaxed) * kPageBytes;
+  }
 
   void read(u64 addr, void* dst, usize bytes) const;
   void write(u64 addr, const void* src, usize bytes);
-
-  // Pre-grow the backing store to cover [0, end). Concurrent disjoint-range
-  // read/write is safe only after the touched extent is reserved (lazy
-  // growth reallocates the store) - the pipelined host path reserves each
-  // DPU's batch extent before overlapping stages.
-  void reserve(u64 end);
-
-  // Zero the first `bytes` bytes (host-side convenience).
-  void clear(u64 bytes);
 
   template <typename T>
   T read_pod(u64 addr) const {
@@ -45,13 +57,17 @@ class Mram {
   }
 
  private:
-  void ensure(u64 end);
   void check_range(u64 addr, usize bytes) const;
+  // The page holding `index`, allocated and installed if absent.
+  u8* page_for_write(u64 index);
 
   u64 capacity_;
-  mutable std::vector<u8> store_;  // grows lazily; reads past the high-water
-                                   // mark return zeros (fresh DRAM is zeroed
-                                   // by the host runtime)
+  u64 nr_pages_;
+  // nullptr = never written (reads as zeros). Installed pages are
+  // published with release and loaded with acquire, so a page's zero
+  // fill happens-before any access through the pointer.
+  std::unique_ptr<std::atomic<u8*>[]> pages_;
+  std::atomic<u64> resident_pages_{0};
 };
 
 }  // namespace pimwfa::upmem

@@ -1,10 +1,11 @@
 // Concurrency stress suite, written for ThreadSanitizer.
 //
-// Every test here hammers one of the mutex-guarded structures annotated
-// in the thread-safety pass (common/thread_safety.hpp) from several
-// threads at once: BatchEngine's dispatcher counters and shared worker
-// pool, AlignService's admission/batcher/completer protocol against its
-// fixed arena ring, and the hybrid dispatcher's calibration cache. The
+// Every test here hammers one of the shared structures of the library
+// from several threads at once: BatchEngine's dispatcher counters and
+// shared worker pool, AlignService's admission/batcher/completer protocol
+// against its fixed arena ring, the hybrid dispatcher's calibration
+// cache, the paged MRAM's lock-free page installation and the
+// PimBatchAligner's pool of simulated systems. The
 // assertions are deliberately about *totals and determinism*, not
 // interleavings - the point of the suite is the instrumented run: the
 // TSan CI job (-DPIMWFA_SANITIZE=thread) executes it and fails on any
@@ -18,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,9 +29,11 @@
 #include "align/batch_engine.hpp"
 #include "align/hybrid.hpp"
 #include "align/service.hpp"
+#include "pim/host.hpp"
 #include "seq/generator.hpp"
 #include "seq/view.hpp"
 #include "test_util.hpp"
+#include "upmem/mram.hpp"
 
 namespace pimwfa {
 namespace {
@@ -274,6 +278,142 @@ TEST(RaceStress, HybridConcurrentDistinctShapeMisses) {
       EXPECT_EQ(results[s][r].timings.cpu_fraction,
                 results[s][0].timings.cpu_fraction)
           << "a cached calibration must replay the exact split";
+    }
+  }
+}
+
+// --- paged MRAM: concurrent first touch of shared pages -------------------
+
+TEST(RaceStress, MramConcurrentFirstTouchOfSharedPages) {
+  constexpr usize kWriters = 4;
+  constexpr usize kReaders = 2;
+  constexpr usize kPages = 8;
+  constexpr usize kRounds = 16;  // slots per writer per page
+  using upmem::Mram;
+  Mram mram(64ull << 20);
+
+  // Writer w owns 8-byte slot r * kWriters + w of every page, and all
+  // writers sweep the pages in the same order, so each page's first
+  // touch is contended by every writer. Pages sit 5 pages apart.
+  const auto slot_addr = [](usize page, usize round, usize writer) {
+    return static_cast<u64>(page) * 5 * Mram::kPageBytes +
+           8 * static_cast<u64>(round * kWriters + writer);
+  };
+  const auto slot_value = [](usize page, usize round, usize writer) {
+    return (static_cast<u64>(page) << 32) | (static_cast<u64>(round) << 16) |
+           (static_cast<u64>(writer) + 1);
+  };
+  // Slots writer w has finished, in sweep order (round-major, then page).
+  // The release store after each write lets readers check it race-free.
+  std::vector<std::atomic<usize>> published(kWriters);
+  std::atomic<usize> writers_done{0};
+  std::atomic<usize> mismatches{0};
+  std::latch start(kWriters + kReaders);
+
+  std::vector<std::thread> threads;
+  for (usize w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      start.arrive_and_wait();
+      for (usize r = 0; r < kRounds; ++r) {
+        for (usize p = 0; p < kPages; ++p) {
+          mram.write_pod<u64>(slot_addr(p, r, w), slot_value(p, r, w));
+          published[w].fetch_add(1, std::memory_order_release);
+        }
+      }
+      writers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  for (usize reader = 0; reader < kReaders; ++reader) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = writers_done.load(std::memory_order_acquire) == kWriters;
+        for (usize w = 0; w < kWriters; ++w) {
+          const usize n = published[w].load(std::memory_order_acquire);
+          for (usize i = 0; i < n; ++i) {
+            const usize r = i / kPages;
+            const usize p = i % kPages;
+            const u64 value = mram.read_pod<u64>(slot_addr(p, r, w));
+            if (value != slot_value(p, r, w)) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (usize p = 0; p < kPages; ++p) {
+    for (usize r = 0; r < kRounds; ++r) {
+      for (usize w = 0; w < kWriters; ++w) {
+        ASSERT_EQ(mram.read_pod<u64>(slot_addr(p, r, w)),
+                  slot_value(p, r, w))
+            << "page " << p << " round " << r << " writer " << w;
+      }
+    }
+  }
+  // Losing installers freed their copies: each page counts once.
+  EXPECT_EQ(mram.touched(), kPages * Mram::kPageBytes);
+}
+
+// --- PimBatchAligner: concurrent calls sharing the system pool ------------
+
+TEST(RaceStress, PimAlignerConcurrentCallsMatchFreshAligners) {
+  constexpr usize kThreads = 4;
+  constexpr usize kRounds = 3;
+  pim::PimOptions options;
+  options.system = upmem::SystemConfig::tiny(2);
+  options.nr_tasklets = 4;
+
+  // Different lengths and scopes per batch; references come from a fresh
+  // aligner each, computed before any thread starts.
+  std::vector<ReadPairSet> batches;
+  std::vector<AlignmentScope> scopes;
+  std::vector<pim::PimBatchResult> expected;
+  for (usize b = 0; b < kThreads; ++b) {
+    seq::GeneratorConfig config;
+    config.pairs = 10 + 4 * b;
+    config.read_length = 40 + 40 * b;
+    config.error_rate = 0.05;
+    config.seed = 0x9001 + b;
+    batches.push_back(seq::generate_dataset(config));
+    scopes.push_back(b % 2 == 0 ? AlignmentScope::kFull
+                                : AlignmentScope::kScoreOnly);
+    expected.push_back(
+        pim::PimBatchAligner(options).align_batch(batches[b], scopes[b]));
+  }
+
+  // Thread t runs batch (t + r) % kThreads in round r, so recycled systems
+  // see every shape after every other.
+  pim::PimBatchAligner shared(options);
+  std::vector<std::vector<pim::PimBatchResult>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (usize t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (usize r = 0; r < kRounds; ++r) {
+        const usize b = (t + r) % kThreads;
+        got[t].push_back(shared.align_batch(batches[b], scopes[b]));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (usize t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds);
+    for (usize r = 0; r < kRounds; ++r) {
+      const usize b = (t + r) % kThreads;
+      const pim::PimBatchResult& run = got[t][r];
+      EXPECT_EQ(run.results, expected[b].results)
+          << "thread " << t << " round " << r;
+      EXPECT_EQ(run.timings.kernel_cycles_total,
+                expected[b].timings.kernel_cycles_total);
+      EXPECT_EQ(run.timings.bytes_to_device,
+                expected[b].timings.bytes_to_device);
+      EXPECT_EQ(run.timings.bytes_from_device,
+                expected[b].timings.bytes_from_device);
     }
   }
 }

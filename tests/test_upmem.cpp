@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "upmem/system.hpp"
 
 namespace pimwfa::upmem {
@@ -58,12 +60,62 @@ TEST(Mram, LazyBackingGrowsWithWrites) {
   EXPECT_LT(mram.touched(), 1ull << 20);  // far below capacity
 }
 
+TEST(Mram, FarWriteResidesInOnePage) {
+  // A write deep into the bank must not back everything below it.
+  Mram mram(64ull << 20);
+  mram.write_pod<u64>(60ull << 20, 7);
+  EXPECT_EQ(mram.touched(), Mram::kPageBytes);
+  mram.write_pod<u64>((60ull << 20) + 8, 8);  // same page
+  EXPECT_EQ(mram.touched(), Mram::kPageBytes);
+  EXPECT_EQ(mram.read_pod<u64>(60ull << 20), 7u);
+  u64 below = 1;
+  mram.read(32ull << 20, &below, sizeof(below));  // absent: zeros, no page
+  EXPECT_EQ(below, 0u);
+  EXPECT_EQ(mram.touched(), Mram::kPageBytes);
+}
+
+TEST(Mram, AccessStraddlingPagesRoundTrips) {
+  Mram mram(1 << 20);
+  std::vector<u8> data(3 * Mram::kPageBytes);
+  for (usize i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 7);
+  // Starts 5 bytes before the first page boundary and spans two more.
+  const u64 addr = Mram::kPageBytes - 5;
+  mram.write(addr, data.data(), data.size());
+  EXPECT_EQ(mram.touched(), 4 * Mram::kPageBytes);
+  std::vector<u8> out(data.size());
+  mram.read(addr, out.data(), out.size());
+  EXPECT_EQ(out, data);
+}
+
+TEST(Mram, ReadAcrossResidentAndAbsentPages) {
+  Mram mram(1 << 20);
+  const std::vector<u8> data(16, 0xab);
+  const u64 addr = Mram::kPageBytes - data.size();  // ends at the boundary
+  mram.write(addr, data.data(), data.size());
+  std::vector<u8> out(48, 0xff);
+  mram.read(addr, out.data(), out.size());
+  for (usize i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i < data.size() ? 0xab : 0) << "byte " << i;
+  }
+  EXPECT_EQ(mram.touched(), Mram::kPageBytes);  // the read allocated nothing
+}
+
 TEST(Mram, BoundsFault) {
-  Mram mram(1024);
-  u8 byte = 0;
-  EXPECT_THROW(mram.write(1024, &byte, 1), HardwareFault);
-  EXPECT_THROW(mram.read(1020, &byte, 8), HardwareFault);
-  EXPECT_NO_THROW(mram.read(1016, &byte, 8));
+  // Capacities below, off and on a page multiple: the last byte is
+  // addressable, one past it faults.
+  for (const u64 capacity :
+       {u64{1024}, Mram::kPageBytes + 24, u64{64} << 20}) {
+    Mram mram(capacity);
+    u8 bytes[8] = {};
+    EXPECT_THROW(mram.write(capacity, bytes, 1), HardwareFault) << capacity;
+    EXPECT_THROW(mram.read(capacity - 4, bytes, 8), HardwareFault)
+        << capacity;
+    EXPECT_NO_THROW(mram.read(capacity - 8, bytes, 8)) << capacity;
+    EXPECT_NO_THROW(mram.write(capacity - 1, bytes, 1)) << capacity;
+    EXPECT_NO_THROW(mram.write(capacity, bytes, 0)) << capacity;
+    EXPECT_THROW(mram.write(capacity + 1, bytes, 0), HardwareFault)
+        << capacity;
+  }
 }
 
 TEST(Mram, PodHelpers) {

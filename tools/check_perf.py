@@ -3,9 +3,11 @@
 
 Compares metrics from one or more pimwfa-bench-v1 JSON reports
 (bench/* --json=...) against checked-in baseline numbers and fails when a
-gated metric regresses by more than the allowed fraction. Only modeled
-metrics belong in the baseline: they are deterministic for a given seed
-and configuration, so a regression is a code change, not runner noise.
+gated metric regresses by more than the allowed fraction. Only
+deterministic metrics belong in the baseline - modeled numbers for a
+given seed and configuration, and measured quantities such as peak RSS
+that do not move with runner speed - so a regression is a code change,
+not runner noise.
 
 Usage:
   tools/check_perf.py --report BENCH_pipeline.json \
@@ -19,7 +21,9 @@ Higher metric values are assumed better (throughputs, speedups, ratios);
 gate on those, not on raw seconds. A metric may instead be pinned to an
 exact value with {"equals": <value>} - used for structural invariants
 like hybrid/bases_copied == 0, where any deviation (in either direction)
-is a regression, not noise.
+is a regression, not noise - or capped with {"max": <value>} for
+lower-is-better quantities like peak_rss_mb, where the value itself is
+the ceiling and --max-regress does not apply.
 
 When $GITHUB_STEP_SUMMARY is set (every GitHub Actions step), the gated
 rows are also appended there as a markdown table, so the numbers are
@@ -63,11 +67,23 @@ def check_report(path: str, baselines: dict, max_regress: float,
             rows.append((bench, name, "missing", "present", "MISSING"))
             continue
         actual = entry["value"]
+        if isinstance(expected, dict) and "max" in expected:
+            ceiling = expected["max"]
+            status = "OK" if actual <= ceiling else "REGRESSED"
+            print(f"  {bench}/{name}: {actual:.4f} vs ceiling "
+                  f"{ceiling:.4f} {status}")
+            rows.append((bench, name, f"{actual:.4f}", f"<= {ceiling:.4f}",
+                         status))
+            if actual > ceiling:
+                failures.append(
+                    f"{name}: {actual:.4f} > ceiling {ceiling:.4f}")
+            continue
         if isinstance(expected, dict):
             if "equals" not in expected:
                 failures.append(
                     f"{name}: unrecognized baseline spec {expected!r} "
-                    f"(only {{\"equals\": <value>}} is supported)")
+                    f"(only {{\"equals\": <value>}} and {{\"max\": <value>}} "
+                    f"are supported)")
                 continue
             target = expected["equals"]
             status = "OK" if actual == target else "REGRESSED"
