@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
                           static_cast<double>(detail.verified_pairs));
       }
       report.add_metric("peak_rss_mb", peak_rss_mb(), "MiB");
+      report.add_metric("minflt", minor_faults(), "faults");
       report.write(json);
       std::cout << "BenchReport written to " << json << "\n";
     }

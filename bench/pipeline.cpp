@@ -154,6 +154,9 @@ int main(int argc, char** argv) {
         format_seconds(best.overlap_saved_seconds).c_str());
   }
 
+  // Measured, but runner-speed independent: CI caps both with a ceiling.
+  report.add_metric("peak_rss_mb", peak_rss_mb(), "MiB");
+  report.add_metric("minflt", minor_faults(), "faults");
   if (!json.empty()) {
     report.write(json);
     std::cout << "\nBenchReport written to " << json << "\n";

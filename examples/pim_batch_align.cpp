@@ -5,7 +5,7 @@
 //
 //   ./build/bin/pim_batch_align
 //   ./build/bin/pim_batch_align --pairs 20000 --dpus 16 --tasklets 12
-//   ./build/bin/pim_batch_align --backend=pim-pipelined --chunks 4
+//   ./build/bin/pim_batch_align --backend=pim --pipeline --chunks 4
 //   ./build/bin/pim_batch_align --backend=hybrid
 #include <iostream>
 

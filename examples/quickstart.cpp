@@ -5,7 +5,7 @@
 //   ./build/bin/quickstart
 //   ./build/bin/quickstart ACGTTAGCT ACGTAGCT
 //   ./build/bin/quickstart --backend=hybrid
-//   ./build/bin/quickstart --backend=pim-pipelined --pairs 2048
+//   ./build/bin/quickstart --backend=pim --pipeline --pairs 2048
 #include <iostream>
 
 #include "align/cli.hpp"

@@ -27,28 +27,11 @@ void register_builtin_backends(BackendRegistry& registry) {
                  return std::make_unique<cpu::CpuBatchAligner>(adjusted);
                });
   registry.add("pim",
-               "synchronous PIM execution: scatter / kernel / gather on "
-               "the simulated UPMEM system",
+               "scatter / kernel / gather on the simulated UPMEM system; "
+               "--packed 2-bit packs transfers, --pipeline [--chunks N] "
+               "overlaps the stages across chunks",
                [](const BatchOptions& options) {
-                 BatchOptions adjusted = options;
-                 adjusted.pim_pipeline = false;
-                 return std::make_unique<pim::PimBatchAligner>(adjusted);
-               });
-  registry.add("pim-pipelined",
-               "PIM with chunked scatter/kernel/gather overlap "
-               "(pipeline planner unless --chunks forces a count)",
-               [](const BatchOptions& options) {
-                 BatchOptions adjusted = options;
-                 adjusted.pim_pipeline = true;
-                 return std::make_unique<pim::PimBatchAligner>(adjusted);
-               });
-  registry.add("pim-packed",
-               "synchronous PIM with 2-bit packed host<->MRAM transfers",
-               [](const BatchOptions& options) {
-                 BatchOptions adjusted = options;
-                 adjusted.pim_pipeline = false;
-                 adjusted.pim_packed = true;
-                 return std::make_unique<pim::PimBatchAligner>(adjusted);
+                 return std::make_unique<pim::PimBatchAligner>(options);
                });
   registry.add("hybrid",
                "throughput-proportional CPU+PIM split, merged in input "

@@ -24,6 +24,9 @@ const char* memory_mode_name(MemoryMode mode) {
 void BatchOptions::validate() const {
   penalties.validate();
   PIMWFA_ARG_CHECK(pim_tasklets >= 1, "need at least one tasklet per DPU");
+  PIMWFA_ARG_CHECK(pim_pipeline || pim_pipeline_chunks == 0,
+                   "--chunks " << pim_pipeline_chunks
+                               << " needs pipelining on (--pipeline)");
   PIMWFA_ARG_CHECK(hybrid_cpu_fraction <= 1.0,
                    "hybrid_cpu_fraction must be <= 1 (negative = calibrate)");
   PIMWFA_ARG_CHECK(hybrid_calibration_pairs >= 1,

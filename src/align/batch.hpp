@@ -73,7 +73,7 @@ struct BatchOptions {
   usize pim_tasklets = 24;
   bool pim_packed = false;    // 2-bit packed host<->MRAM transfers
   bool pim_pipeline = false;  // overlap scatter/kernel/gather across chunks
-  usize pim_pipeline_chunks = 0;  // 0 = planner chooses
+  usize pim_pipeline_chunks = 0;  // 0 = planner; nonzero needs pim_pipeline
   // Functionally simulate only this many DPUs (0 = all); the rest
   // contribute modeled transfer/kernel time only.
   usize pim_simulate_dpus = 0;

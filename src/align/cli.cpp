@@ -33,7 +33,7 @@ BatchFlags parse_batch_flags(Cli& cli, const BatchFlags& defaults) {
       "overlap scatter/kernel/gather across chunks (PIM side)");
   o.pim_pipeline_chunks = static_cast<usize>(
       cli.get_int("chunks", static_cast<i64>(d.pim_pipeline_chunks),
-                  "pipeline chunk count (0 = planner)"));
+                  "pipeline chunk count (0 = planner; needs --pipeline)"));
   o.pim_simulate_dpus = static_cast<usize>(
       cli.get_int("sim-dpus", static_cast<i64>(d.pim_simulate_dpus),
                   "DPUs simulated functionally (0 = all)"));
@@ -62,16 +62,6 @@ BatchFlags parse_batch_flags(Cli& cli, const BatchFlags& defaults) {
       cli.get_int("seed", static_cast<i64>(defaults.seed), "dataset seed"));
   out.score_only = cli.get_bool("score-only", defaults.score_only,
                                 "skip CIGAR backtraces");
-
-  // --pipeline on a synchronous PIM backend means "the pipelined one":
-  // promote here so every consumer of the shared flag agrees (the "pim" /
-  // "pim-packed" factories themselves pin the synchronous path). The
-  // packed transfer format survives the promotion as an option.
-  if (o.pim_pipeline &&
-      (out.backend == "pim" || out.backend == "pim-packed")) {
-    if (out.backend == "pim-packed") o.pim_packed = true;
-    out.backend = "pim-pipelined";
-  }
 
   if (!cli.help_requested()) {
     if (!backend_registry().contains(out.backend)) {

@@ -1,16 +1,17 @@
 // String-keyed registry of batch-alignment backends.
 //
-// Every execution backend (CPU baseline, PIM variants, the hybrid
+// Every execution backend (CPU baseline, SIMD CPU, PIM, the hybrid
 // dispatcher) registers a factory under a stable name; examples, benches
 // and the BatchEngine construct backends by that name, which is what a
 // common `--backend=` flag resolves against. The built-in backends are
 // registered on first use of backend_registry():
 //
-//   cpu            multi-threaded host WFA, roofline-projected
-//   pim            synchronous PIM system (scatter / kernel / gather)
-//   pim-pipelined  PIM with chunked scatter/kernel/gather overlap
-//   pim-packed     PIM with 2-bit packed host<->MRAM transfers
-//   hybrid         throughput-proportional CPU+PIM split
+//   cpu       multi-threaded host WFA, roofline-projected
+//   cpu-simd  host WFA through the SIMD layer, bit-identical to cpu
+//   pim       simulated PIM system (scatter / kernel / gather); the
+//             BatchOptions flags pim_packed and pim_pipeline(_chunks)
+//             select packed transfers and chunked stage overlap
+//   hybrid    throughput-proportional CPU+PIM split
 #pragma once
 
 #include <functional>

@@ -24,6 +24,14 @@ std::string number_or_null(double value) {
   return buffer;
 }
 
+rusage self_usage() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) {
+    throw IoError("getrusage(RUSAGE_SELF) failed");
+  }
+  return usage;
+}
+
 }  // namespace
 
 BenchReport::BenchReport(std::string bench_name)
@@ -120,11 +128,11 @@ void BenchReport::write(const std::string& path) const {
 }
 
 double peak_rss_mb() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) {
-    throw IoError("getrusage(RUSAGE_SELF) failed");
-  }
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
+  return static_cast<double>(self_usage().ru_maxrss) / 1024.0;  // Linux: KiB
+}
+
+double minor_faults() {
+  return static_cast<double>(self_usage().ru_minflt);
 }
 
 }  // namespace pimwfa

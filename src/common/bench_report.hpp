@@ -73,4 +73,9 @@ class BenchReport {
 // CI can gate it with a ceiling.
 double peak_rss_mb();
 
+// Minor page faults of this process so far (getrusage ru_minflt): pages
+// first touched without I/O, so a ceiling on it catches a return of
+// per-call page allocation.
+double minor_faults();
+
 }  // namespace pimwfa

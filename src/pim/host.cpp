@@ -15,31 +15,35 @@
 namespace pimwfa::pim {
 namespace {
 
-// Record codecs shared by the synchronous and pipelined paths, so both
-// produce byte-identical MRAM images and result decoding.
+// One MRAM record: a whole pair, or a tile segment whose seam components
+// ride in the top bits of the length fields (pim/layout.hpp).
+struct Record {
+  std::string_view pattern;
+  std::string_view text;
+  u32 begin_comp = 0;
+  u32 end_comp = 0;
+};
 
-// Stages one pair into its MRAM record directly from the batch view's
+// Stages one record into its MRAM slot directly from the batch view's
 // string storage: plain mode memcpys the bases, packed mode 2-bit-packs
 // them, either way without an intermediate host-side copy of the pair.
-void write_pair_record(upmem::PimSystem& system, usize d,
-                       const BatchLayout& layout, std::string_view pattern,
-                       std::string_view text, usize slot, bool packed,
-                       std::vector<u8>& record, u32 begin_comp = 0,
-                       u32 end_comp = 0) {
-  record.assign(static_cast<usize>(layout.header().pair_stride), 0);
-  const u32 lens[2] = {encode_pair_len(pattern.size(), begin_comp),
-                       encode_pair_len(text.size(), end_comp)};
-  std::memcpy(record.data(), lens, 8);
+void write_record(upmem::PimSystem& system, usize d, const BatchLayout& layout,
+                  const Record& r, usize slot, bool packed,
+                  std::vector<u8>& buffer) {
+  buffer.assign(static_cast<usize>(layout.header().pair_stride), 0);
+  const u32 lens[2] = {encode_pair_len(r.pattern.size(), r.begin_comp),
+                       encode_pair_len(r.text.size(), r.end_comp)};
+  std::memcpy(buffer.data(), lens, 8);
   if (packed) {
-    seq::PackedSequence::pack_into(pattern, record.data() + 8);
+    seq::PackedSequence::pack_into(r.pattern, buffer.data() + 8);
     seq::PackedSequence::pack_into(
-        text, record.data() + 8 + layout.pattern_field_bytes());
+        r.text, buffer.data() + 8 + layout.pattern_field_bytes());
   } else {
-    std::memcpy(record.data() + 8, pattern.data(), pattern.size());
-    std::memcpy(record.data() + 8 + layout.pattern_field_bytes(), text.data(),
-                text.size());
+    std::memcpy(buffer.data() + 8, r.pattern.data(), r.pattern.size());
+    std::memcpy(buffer.data() + 8 + layout.pattern_field_bytes(),
+                r.text.data(), r.text.size());
   }
-  system.copy_to_mram(d, layout.pair_addr(slot), record);
+  system.copy_to_mram(d, layout.pair_addr(slot), buffer);
 }
 
 align::AlignmentResult read_result_record(const upmem::PimSystem& system,
@@ -63,21 +67,26 @@ align::AlignmentResult read_result_record(const upmem::PimSystem& system,
   return result;
 }
 
-// Everything both execution paths need about one batch run.
+// Everything the chunked loop needs about one batch run.
 struct BatchRun {
   const PimOptions& options;
   seq::ReadPairSpan batch;
   upmem::PimSystem& system;
+  // Tiled runs: record i is segments[i] of its pair. Otherwise record i is
+  // pair i of `batch`.
+  const std::vector<TileSegment>* segments = nullptr;
   bool full = false;
   usize logical = 0;
   usize simulated = 0;
-  usize virtual_n = 0;
+  // Records spread over the logical system: the (virtual) pair count, or
+  // the segment count of a tiled run.
+  usize records = 0;
   usize max_pattern = 0;
   usize max_text = 0;
 
-  BatchLayout layout_for(usize nr_pairs) const {
+  BatchLayout layout_for(usize nr_records) const {
     BatchLayout::Params params;
-    params.nr_pairs = nr_pairs;
+    params.nr_pairs = nr_records;
     params.nr_tasklets = options.nr_tasklets;
     params.max_pattern = max_pattern;
     params.max_text = max_text;
@@ -90,261 +99,203 @@ struct BatchRun {
   }
 
   std::pair<usize, usize> range_of(usize d) const {
-    return PimBatchAligner::dpu_pair_range(virtual_n, logical, d);
+    return PimBatchAligner::dpu_pair_range(records, logical, d);
   }
 
-  // Pairs covered by the simulated prefix (= the result count).
-  usize simulated_pairs() const { return range_of(simulated - 1).second; }
+  // Records covered by the simulated prefix (= the result count).
+  usize simulated_records() const { return range_of(simulated - 1).second; }
 
-  void fill_common_timings(PimTimings& t) const {
-    t.bytes_to_device = system.to_device().bytes;
-    t.bytes_from_device = system.from_device().bytes;
-    t.pairs = virtual_n;
-    t.logical_dpus = logical;
-    t.simulated_dpus = simulated;
-    t.nr_tasklets = options.nr_tasklets;
+  Record record(usize i) const {
+    if (segments == nullptr) return {batch.pattern(i), batch.text(i)};
+    const TileSegment& s = (*segments)[i];
+    return {batch.pattern(s.pair).substr(s.v0, s.v1 - s.v0),
+            batch.text(s.pair).substr(s.h0, s.h1 - s.h0),
+            static_cast<u32>(s.begin), static_cast<u32>(s.end)};
   }
 };
 
-// --- synchronous path ---------------------------------------------------
-
-PimBatchResult run_synchronous(const BatchRun& run, ThreadPool* pool) {
-  upmem::PimSystem& system = run.system;
-
-  // --- scatter ---------------------------------------------------------
-  // Simulated DPUs get real data; the rest contribute transfer bytes only.
-  {
-    std::vector<u8> record;
-    for (usize d = 0; d < run.simulated; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const BatchLayout layout = run.layout_for(end - begin);
-      const BatchHeader& h = layout.header();
-      system.copy_to_mram(
-          d, 0, {reinterpret_cast<const u8*>(&h), sizeof(BatchHeader)});
-      for (usize p = begin; p < end; ++p) {
-        write_pair_record(system, d, layout, run.batch.pattern(p),
-                          run.batch.text(p), p - begin,
-                          run.options.packed_sequences, record);
-      }
-    }
-    for (usize d = run.simulated; d < run.logical; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const BatchLayout layout = run.layout_for(end - begin);
-      system.account_to_device(sizeof(BatchHeader) + layout.pairs_bytes());
-    }
-  }
-
-  // --- launch ----------------------------------------------------------
-  const KernelCosts costs = run.options.costs;
-  const upmem::LaunchStats launch = system.launch_all(
-      [&costs](usize) { return std::make_unique<WfaDpuKernel>(costs); },
-      run.options.nr_tasklets, pool);
-
-  // --- gather ----------------------------------------------------------
-  PimBatchResult out;
-  {
-    std::vector<u8> record;
-    for (usize d = 0; d < run.simulated; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const BatchLayout layout = run.layout_for(end - begin);
-      for (usize p = begin; p < end; ++p) {
-        out.results.push_back(read_result_record(system, d, layout, p - begin,
-                                                 run.full, record));
-      }
-    }
-    for (usize d = run.simulated; d < run.logical; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const BatchLayout layout = run.layout_for(end - begin);
-      system.account_from_device(layout.results_bytes());
-    }
-  }
-
-  // --- timings ---------------------------------------------------------
-  PimTimings& t = out.timings;
-  t.scatter_seconds = system.scatter_seconds();
-  t.kernel_seconds = launch.kernel_seconds(run.options.system);
-  t.gather_seconds = system.gather_seconds();
-  t.kernel_cycles_max = launch.max_cycles;
-  t.kernel_cycles_total = launch.total_cycles;
-  t.work = launch.combined;
-  run.fill_common_timings(t);
-  return out;
+// Chunk count: 1 unless pipelining is on and the planner (or a forced
+// count) splits the batch.
+usize plan_chunks(const BatchRun& run, const BatchHeader& strides) {
+  if (!run.options.pipeline) return 1;
+  PipelineSchedule::Params params;
+  params.pairs = run.records;
+  params.nr_dpus = run.logical;
+  params.nr_tasklets = run.options.nr_tasklets;
+  params.scatter_bytes =
+      static_cast<u64>(run.records) * strides.pair_stride +
+      static_cast<u64>(run.logical) * sizeof(BatchHeader);
+  params.gather_bytes = static_cast<u64>(run.records) * strides.result_stride;
+  params.host_bandwidth = run.system.cost_model().transfer_bandwidth(
+      run.system.ranks_spanned(0, run.logical));
+  params.launch_overhead_seconds = run.options.system.host_launch_overhead_s;
+  params.requested_chunks = run.options.pipeline_chunks;
+  return PipelineSchedule::plan(params).chunks();
 }
 
-// --- pipelined path -----------------------------------------------------
-
-PimBatchResult run_pipelined(const BatchRun& run,
-                             const PipelineSchedule& schedule,
-                             ThreadPool* pool) {
+// The one scatter -> kernel -> gather implementation. Every DPU's record
+// share is cut into tasklet-aligned chunk slices (PipelineSchedule::slice),
+// and at tick t scatter(t), kernel(t-1) and gather(t-2) are in flight
+// together. One chunk is the synchronous law: three single-stage ticks, no
+// launch-argument bytes, an additive Total and the pipeline fields left
+// at 0. Simulated DPUs move real bytes; the stage volumes that feed the
+// cost model count every logical DPU's records by their strides.
+PimBatchResult run_chunks(const BatchRun& run, ThreadPool* pool) {
+  const PimOptions& options = run.options;
   upmem::PimSystem& system = run.system;
-  const usize chunks = schedule.chunks();
-  const KernelCosts costs = run.options.costs;
-  // Every chunk slices all DPUs, so its transfers span the full rank set
-  // and run at full rank parallelism.
-  const usize ranks = system.ranks_spanned(0, run.logical);
+  const usize tasklets = options.nr_tasklets;
 
-  // Fill phase: one header per DPU (the batch geometry is chunk-invariant).
-  u64 header_bytes_unsimulated = 0;
+  // The simulated prefix carries the ceil shares, so its layouts bound the
+  // unsimulated DPUs' layouts too.
+  std::vector<BatchLayout> layouts;
+  layouts.reserve(run.simulated);
   for (usize d = 0; d < run.simulated; ++d) {
     const auto [begin, end] = run.range_of(d);
-    const BatchLayout layout = run.layout_for(end - begin);
-    const BatchHeader& h = layout.header();
-    system.copy_to_mram(d, 0,
-                        {reinterpret_cast<const u8*>(&h), sizeof(BatchHeader)});
+    layouts.push_back(run.layout_for(end - begin));
   }
-  header_bytes_unsimulated =
-      static_cast<u64>(run.logical - run.simulated) * sizeof(BatchHeader);
-  system.account_to_device(header_bytes_unsimulated);
+  const BatchHeader& strides = layouts.front().header();
+  const usize chunks = plan_chunks(run, strides);
+  const auto slice_of = [&](usize d, usize c) {
+    const auto [begin, end] = run.range_of(d);
+    const auto [sb, se] =
+        PipelineSchedule::slice(end - begin, chunks, c, tasklets);
+    return std::pair<usize, usize>{begin + sb, begin + se};
+  };
 
-  // Per-chunk transfer volumes over the whole logical system (the timing
-  // model's input; simulated DPUs contribute via real copies, the rest via
-  // accounting).
-  const u64 pair_stride = run.layout_for(1).header().pair_stride;
-  const u64 result_stride = run.layout_for(1).header().result_stride;
   std::vector<u64> scatter_bytes(chunks, 0);
   std::vector<u64> gather_bytes(chunks, 0);
   for (usize d = 0; d < run.logical; ++d) {
-    const auto [begin, end] = run.range_of(d);
     for (usize c = 0; c < chunks; ++c) {
-      const auto [sb, se] = PipelineSchedule::slice(end - begin, chunks, c,
-                                                    run.options.nr_tasklets);
-      scatter_bytes[c] += static_cast<u64>(se - sb) * pair_stride;
-      gather_bytes[c] += static_cast<u64>(se - sb) * result_stride;
+      const auto [sb, se] = slice_of(d, c);
+      scatter_bytes[c] += static_cast<u64>(se - sb) * strides.pair_stride;
+      gather_bytes[c] += static_cast<u64>(se - sb) * strides.result_stride;
     }
   }
-  const u64 launch_arg_bytes =
-      static_cast<u64>(run.logical) * WfaDpuKernel::kLaunchArgBytes;
-  for (usize c = 0; c < chunks; ++c) scatter_bytes[c] += launch_arg_bytes;
-  scatter_bytes[0] +=
-      static_cast<u64>(run.logical) * sizeof(BatchHeader);
+  scatter_bytes[0] += static_cast<u64>(run.logical) * sizeof(BatchHeader);
+  if (chunks > 1) {
+    // Slice bounds travel as per-launch kernel arguments.
+    for (u64& bytes : scatter_bytes) {
+      bytes += static_cast<u64>(run.logical) * WfaDpuKernel::kLaunchArgBytes;
+    }
+  }
 
   PimBatchResult out;
-  out.results.resize(run.simulated_pairs());
+  out.results.resize(run.simulated_records());
   std::vector<upmem::LaunchStats> launches(chunks);
   std::vector<std::vector<u64>> launch_cycles(chunks);
+  const KernelCosts costs = options.costs;
 
-  // Stage bodies. Each touches only its chunk's slice of every DPU, so
-  // stages of different chunks access disjoint MRAM bytes, which the paged
-  // MRAM makes data-race free.
-  auto scatter_chunk = [&](usize c) {
-    std::vector<u8> record;
-    u64 accounted = WfaDpuKernel::kLaunchArgBytes * static_cast<u64>(run.logical);
+  // Stage bodies. Each touches only its chunk's slice of every DPU (chunk
+  // 0's scatter also stages the headers), so stages of different chunks
+  // access disjoint MRAM bytes, which the paged MRAM makes data-race free.
+  auto scatter = [&](usize c) {
+    std::vector<u8> buffer;
     for (usize d = 0; d < run.simulated; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const BatchLayout layout = run.layout_for(end - begin);
-      const auto [sb, se] = PipelineSchedule::slice(end - begin, chunks, c,
-                                                    run.options.nr_tasklets);
-      for (usize p = sb; p < se; ++p) {
-        write_pair_record(system, d, layout, run.batch.pattern(begin + p),
-                          run.batch.text(begin + p), p,
-                          run.options.packed_sequences, record);
+      const BatchLayout& layout = layouts[d];
+      if (c == 0) {
+        const BatchHeader& h = layout.header();
+        system.copy_to_mram(
+            d, 0, {reinterpret_cast<const u8*>(&h), sizeof(BatchHeader)});
+      }
+      const usize begin = run.range_of(d).first;
+      const auto [sb, se] = slice_of(d, c);
+      for (usize i = sb; i < se; ++i) {
+        write_record(system, d, layout, run.record(i), i - begin,
+                     options.packed_sequences, buffer);
       }
     }
-    for (usize d = run.simulated; d < run.logical; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const auto [sb, se] = PipelineSchedule::slice(end - begin, chunks, c,
-                                                    run.options.nr_tasklets);
-      accounted += static_cast<u64>(se - sb) * pair_stride;
-    }
-    system.account_to_device(accounted);
   };
-  auto kernel_chunk = [&](usize c) {
-    // Stages already run concurrently; keep the per-DPU loop serial to
-    // avoid nesting pool waits inside pool tasks.
+  auto kernel = [&](usize c) {
     launches[c] = system.launch_group(
         0, run.simulated,
         [&, c](usize d) {
-          const auto [begin, end] = run.range_of(d);
-          const auto [sb, se] = PipelineSchedule::slice(
-              end - begin, chunks, c, run.options.nr_tasklets);
+          const usize begin = run.range_of(d).first;
+          const auto [sb, se] = slice_of(d, c);
           return std::make_unique<WfaDpuKernel>(
-              costs, static_cast<u64>(sb), static_cast<u64>(se - sb));
+              costs, static_cast<u64>(sb - begin), static_cast<u64>(se - sb));
         },
-        run.options.nr_tasklets, nullptr, &launch_cycles[c]);
+        tasklets, pool, &launch_cycles[c]);
   };
-  auto gather_chunk = [&](usize c) {
-    std::vector<u8> record;
-    u64 accounted = 0;
+  auto gather = [&](usize c) {
+    std::vector<u8> buffer;
     for (usize d = 0; d < run.simulated; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const BatchLayout layout = run.layout_for(end - begin);
-      const auto [sb, se] = PipelineSchedule::slice(end - begin, chunks, c,
-                                                    run.options.nr_tasklets);
-      for (usize p = sb; p < se; ++p) {
-        out.results[begin + p] = read_result_record(system, d, layout, p,
-                                                    run.full, record);
+      const usize begin = run.range_of(d).first;
+      const auto [sb, se] = slice_of(d, c);
+      for (usize i = sb; i < se; ++i) {
+        out.results[i] = read_result_record(system, d, layouts[d], i - begin,
+                                            run.full, buffer);
       }
     }
-    for (usize d = run.simulated; d < run.logical; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const auto [sb, se] = PipelineSchedule::slice(end - begin, chunks, c,
-                                                    run.options.nr_tasklets);
-      accounted += static_cast<u64>(se - sb) * result_stride;
-    }
-    system.account_from_device(accounted);
   };
 
-  // Software pipeline: at tick t, scatter(t), kernel(t-1) and gather(t-2)
-  // are in flight together (on `pool` when it has workers to spare; the
-  // modeled timing is identical either way).
+  // A tick with one stage (every tick of a one-chunk run) runs on the
+  // calling thread, so its kernel stage spreads DPUs over `pool`. Stages
+  // of a multi-stage tick run on `pool` when it has workers to spare, and
+  // a kernel stage on a worker then runs its DPUs inline. The modeled
+  // timing is identical either way.
   const bool concurrent = pool != nullptr && pool->size() >= 2;
   for (usize tick = 0; tick < chunks + 2; ++tick) {
     std::vector<std::function<void()>> stages;
-    if (tick < chunks) stages.push_back([&, tick] { scatter_chunk(tick); });
+    if (tick < chunks) stages.push_back([&, tick] { scatter(tick); });
     if (tick >= 1 && tick - 1 < chunks) {
-      stages.push_back([&, tick] { kernel_chunk(tick - 1); });
+      stages.push_back([&, tick] { kernel(tick - 1); });
     }
-    if (tick >= 2 && tick - 2 < chunks) {
-      stages.push_back([&, tick] { gather_chunk(tick - 2); });
-    }
-    if (concurrent) {
-      std::vector<std::future<void>> inflight;
-      inflight.reserve(stages.size());
-      for (auto& stage : stages) inflight.push_back(pool->submit(stage));
-      std::exception_ptr first_error;
-      for (auto& f : inflight) {
-        try {
-          f.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    } else {
+    if (tick >= 2) stages.push_back([&, tick] { gather(tick - 2); });
+    if (stages.size() == 1 || !concurrent) {
       for (auto& stage : stages) stage();
+      continue;
     }
+    std::vector<std::future<void>> inflight;
+    inflight.reserve(stages.size());
+    for (auto& stage : stages) inflight.push_back(pool->submit(stage));
+    std::exception_ptr first_error;
+    for (auto& f : inflight) {
+      try {
+        f.get();
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
   }
 
   // --- timings ---------------------------------------------------------
   const upmem::CostModel& model = system.cost_model();
+  const usize ranks = system.ranks_spanned(0, run.logical);
   std::vector<ChunkTiming> chunk_timings(chunks);
   PimTimings& t = out.timings;
   for (usize c = 0; c < chunks; ++c) {
     ChunkTiming& ct = chunk_timings[c];
     ct.scatter_seconds = model.transfer_seconds(scatter_bytes[c], ranks);
-    ct.kernel_seconds = launches[c].kernel_seconds(run.options.system);
+    ct.kernel_seconds = launches[c].kernel_seconds(options.system);
     ct.gather_seconds = model.transfer_seconds(gather_bytes[c], ranks);
-    ct.launch_overhead_seconds = run.options.system.host_launch_overhead_s;
+    ct.launch_overhead_seconds = options.system.host_launch_overhead_s;
     ct.dpu_kernel_seconds.reserve(launch_cycles[c].size());
     for (const u64 cycles : launch_cycles[c]) {
-      ct.dpu_kernel_seconds.push_back(
-          run.options.system.cycles_to_seconds(cycles));
+      ct.dpu_kernel_seconds.push_back(options.system.cycles_to_seconds(cycles));
     }
     t.scatter_seconds += ct.scatter_seconds;
     t.kernel_seconds += ct.kernel_seconds;
     t.gather_seconds += ct.gather_seconds;
     t.kernel_cycles_max += launches[c].max_cycles;
     t.kernel_cycles_total += launches[c].total_cycles;
+    t.bytes_to_device += scatter_bytes[c];
+    t.bytes_from_device += gather_bytes[c];
     t.work.merge(launches[c].combined);
   }
-  const PipelineModel pipeline = PipelineModel::from_chunks(chunk_timings);
-  t.chunks = chunks;
-  t.pipelined_total_seconds = pipeline.total_seconds;
-  t.fill_seconds = pipeline.fill_seconds;
-  t.drain_seconds = pipeline.drain_seconds;
-  t.steady_state_seconds = pipeline.steady_state_seconds;
-  t.overlap_saved_seconds = pipeline.overlap_saved_seconds;
-  run.fill_common_timings(t);
+  if (chunks > 1) {
+    const PipelineModel pipeline = PipelineModel::from_chunks(chunk_timings);
+    t.chunks = chunks;
+    t.pipelined_total_seconds = pipeline.total_seconds;
+    t.fill_seconds = pipeline.fill_seconds;
+    t.drain_seconds = pipeline.drain_seconds;
+    t.steady_state_seconds = pipeline.steady_state_seconds;
+    t.overlap_saved_seconds = pipeline.overlap_saved_seconds;
+  }
+  t.pairs = run.records;
+  t.logical_dpus = run.logical;
+  t.simulated_dpus = run.simulated;
+  t.nr_tasklets = tasklets;
   return out;
 }
 
@@ -449,87 +400,23 @@ struct TiledBatch {
   usize max_text = 0;
 };
 
-std::string_view segment_pattern(seq::ReadPairSpan batch,
-                                 const TileSegment& s) {
-  return batch.pattern(s.pair).substr(s.v0, s.v1 - s.v0);
-}
-
-std::string_view segment_text(seq::ReadPairSpan batch, const TileSegment& s) {
-  return batch.text(s.pair).substr(s.h0, s.h1 - s.h0);
-}
-
-// Synchronous execution of a segment batch: scatter the segments as
-// ordinary pair records (seam components in the length fields), run the
-// unchanged kernel loop, gather per-segment results and stitch them back
-// into per-pair alignments. `run` carries the segment-batch geometry
-// (virtual_n = segment count, maxes over segments) and full simulation.
-PimBatchResult run_tiled(const BatchRun& run, const TiledBatch& tiled,
-                         usize nr_pairs, ThreadPool* pool) {
-  upmem::PimSystem& system = run.system;
-  const std::vector<TileSegment>& segments = tiled.segments;
-
-  {
-    std::vector<u8> record;
-    for (usize d = 0; d < run.logical; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const BatchLayout layout = run.layout_for(end - begin);
-      const BatchHeader& h = layout.header();
-      system.copy_to_mram(
-          d, 0, {reinterpret_cast<const u8*>(&h), sizeof(BatchHeader)});
-      for (usize s = begin; s < end; ++s) {
-        const TileSegment& seg = segments[s];
-        write_pair_record(system, d, layout, segment_pattern(run.batch, seg),
-                          segment_text(run.batch, seg), s - begin,
-                          run.options.packed_sequences, record,
-                          static_cast<u32>(seg.begin),
-                          static_cast<u32>(seg.end));
-      }
+// Folds a segment run's per-segment results back into per-pair
+// alignments.
+void stitch_pairs(PimBatchResult& out, const TiledBatch& tiled, bool full) {
+  std::vector<align::AlignmentResult> seg_results = std::move(out.results);
+  out.results.clear();
+  out.results.reserve(tiled.pair_ranges.size());
+  for (const auto& [sb, se] : tiled.pair_ranges) {
+    if (se - sb == 1) {
+      out.results.push_back(std::move(seg_results[sb]));
+    } else {
+      ++out.timings.tiled_pairs;
+      out.results.push_back(
+          stitch_segments(tiled.segments, sb, se, seg_results, full));
     }
   }
-
-  const KernelCosts costs = run.options.costs;
-  const upmem::LaunchStats launch = system.launch_all(
-      [&costs](usize) { return std::make_unique<WfaDpuKernel>(costs); },
-      run.options.nr_tasklets, pool);
-
-  PimBatchResult out;
-  {
-    std::vector<align::AlignmentResult> seg_results(segments.size());
-    std::vector<u8> record;
-    for (usize d = 0; d < run.logical; ++d) {
-      const auto [begin, end] = run.range_of(d);
-      const BatchLayout layout = run.layout_for(end - begin);
-      for (usize s = begin; s < end; ++s) {
-        seg_results[s] =
-            read_result_record(system, d, layout, s - begin, run.full, record);
-      }
-    }
-    out.results.reserve(nr_pairs);
-    usize tiled_pairs = 0;
-    for (usize p = 0; p < nr_pairs; ++p) {
-      const auto [sb, se] = tiled.pair_ranges[p];
-      if (se - sb == 1) {
-        out.results.push_back(std::move(seg_results[sb]));
-      } else {
-        ++tiled_pairs;
-        out.results.push_back(
-            stitch_segments(segments, sb, se, seg_results, run.full));
-      }
-    }
-    out.timings.tiled_pairs = tiled_pairs;
-  }
-
-  PimTimings& t = out.timings;
-  t.scatter_seconds = system.scatter_seconds();
-  t.kernel_seconds = launch.kernel_seconds(run.options.system);
-  t.gather_seconds = system.gather_seconds();
-  t.kernel_cycles_max = launch.max_cycles;
-  t.kernel_cycles_total = launch.total_cycles;
-  t.work = launch.combined;
-  run.fill_common_timings(t);
-  t.pairs = nr_pairs;
-  t.tile_segments = segments.size();
-  return out;
+  out.timings.pairs = tiled.pair_ranges.size();
+  out.timings.tile_segments = tiled.segments.size();
 }
 
 }  // namespace
@@ -557,18 +444,15 @@ PimBatchAligner::PimBatchAligner(PimOptions options)
   PIMWFA_ARG_CHECK(options_.nr_tasklets >= 1 &&
                        options_.nr_tasklets <= options_.system.max_tasklets,
                    "tasklet count outside the DPU's range");
-  PIMWFA_ARG_CHECK(options_.pipeline_max_chunks >= 1,
-                   "pipeline_max_chunks must be at least 1");
+  PIMWFA_ARG_CHECK(options_.pipeline || options_.pipeline_chunks == 0,
+                   "pipeline_chunks = " << options_.pipeline_chunks
+                       << " needs pipelining on (--pipeline)");
 }
 
 PimBatchAligner::PimBatchAligner(const align::BatchOptions& batch)
     : PimBatchAligner(PimOptions::from(batch)) {}
 
-std::string PimBatchAligner::name() const {
-  if (options_.pipeline) return "pim-pipelined";
-  if (options_.packed_sequences) return "pim-packed";
-  return "pim";
-}
+std::string PimBatchAligner::name() const { return "pim"; }
 
 bool PimBatchAligner::needs_tiling(seq::ReadPairSpan batch,
                                    align::AlignmentScope scope) const {
@@ -652,15 +536,15 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
   run.simulated = simulated;
   run.max_pattern = batch.max_pattern_length();
   run.max_text = batch.max_text_length();
-  // Virtual batches: distribution is computed over `virtual_n` pairs, but
+  // Virtual batches: distribution is computed over `records` pairs, but
   // only the simulated DPUs' pairs exist in `batch`.
-  run.virtual_n = options_.virtual_total_pairs == 0
-                      ? batch.size()
-                      : options_.virtual_total_pairs;
-  PIMWFA_ARG_CHECK(run.virtual_n >= batch.size(),
+  run.records = options_.virtual_total_pairs == 0
+                    ? batch.size()
+                    : options_.virtual_total_pairs;
+  PIMWFA_ARG_CHECK(run.records >= batch.size(),
                    "virtual_total_pairs below the materialized batch");
   if (options_.virtual_total_pairs != 0) {
-    const usize last_end = run.simulated_pairs();
+    const usize last_end = run.simulated_records();
     PIMWFA_ARG_CHECK(batch.size() >= last_end,
                      "batch does not cover the simulated DPUs' share ("
                          << last_end << " pairs needed, " << batch.size()
@@ -677,7 +561,7 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
     usize seg_bases = 0;
     u64 budget = 0;
     const std::vector<usize> oversized =
-        screen_oversized(options_, batch, run.full, run.virtual_n, logical,
+        screen_oversized(options_, batch, run.full, run.records, logical,
                          run.max_pattern, run.max_text, &seg_bases, &budget);
     if (!oversized.empty()) {
       const usize p0 = oversized.front();
@@ -748,44 +632,25 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
         plan_budget = actual;
       }
 
+      // The segments run as ordinary records, always as one chunk, and
+      // stitch back into per-pair alignments.
       PimOptions tiled_options = options_;
       tiled_options.max_score =
           span_score_cap(options_, tiled.max_pattern, tiled.max_text);
-      BatchRun tiled_run{tiled_options, batch, system};
+      tiled_options.pipeline = false;
+      BatchRun tiled_run{tiled_options, batch, system, &tiled.segments};
       tiled_run.full = run.full;
       tiled_run.logical = logical;
       tiled_run.simulated = simulated;
       tiled_run.max_pattern = tiled.max_pattern;
       tiled_run.max_text = tiled.max_text;
-      tiled_run.virtual_n = tiled.segments.size();
-      // Pipelined mode falls back to the synchronous tiled path.
-      return finish(run_tiled(tiled_run, tiled, batch.size(), pool));
+      tiled_run.records = tiled.segments.size();
+      PimBatchResult out = run_chunks(tiled_run, pool);
+      stitch_pairs(out, tiled, run.full);
+      return finish(std::move(out));
     }
   }
-
-  if (options_.pipeline && run.virtual_n > 0) {
-    const BatchLayout probe = run.layout_for(1);
-    PipelineSchedule::Params params;
-    params.pairs = run.virtual_n;
-    params.nr_dpus = logical;
-    params.nr_tasklets = options_.nr_tasklets;
-    params.nr_ranks = system.ranks_in_use();
-    params.scatter_bytes =
-        static_cast<u64>(run.virtual_n) * probe.header().pair_stride +
-        static_cast<u64>(logical) * sizeof(BatchHeader);
-    params.gather_bytes =
-        static_cast<u64>(run.virtual_n) * probe.header().result_stride;
-    params.host_bandwidth =
-        system.cost_model().transfer_bandwidth(system.ranks_in_use());
-    params.launch_overhead_seconds = options_.system.host_launch_overhead_s;
-    params.requested_chunks = options_.pipeline_chunks;
-    params.max_chunks = options_.pipeline_max_chunks;
-    const PipelineSchedule schedule = PipelineSchedule::plan(params);
-    if (schedule.pipelined()) {
-      return finish(run_pipelined(run, schedule, pool));
-    }
-  }
-  return finish(run_synchronous(run, pool));
+  return finish(run_chunks(run, pool));
 }
 
 std::unique_ptr<upmem::PimSystem> PimBatchAligner::take_system(
@@ -796,7 +661,6 @@ std::unique_ptr<upmem::PimSystem> PimBatchAligner::take_system(
       std::unique_ptr<upmem::PimSystem> system =
           std::move(idle_systems_.back());
       idle_systems_.pop_back();
-      system->reset_transfer_stats();
       return system;
     }
   }

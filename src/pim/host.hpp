@@ -7,11 +7,15 @@
 //   Total  = scatter + kernel + gather
 //   Kernel = slowest DPU's cycles / clock (+ launch overhead)
 //
-// Pipelined mode (options.pipeline) splits every DPU's share into chunks
+// One chunked loop runs every batch. By default each DPU's share is one
+// chunk: scatter, kernel and gather run back to back and Total is their
+// sum. Pipelined mode (options.pipeline) splits every share into chunks
 // and overlaps scatter(i+1) / kernel(i) / gather(i-1); Total then becomes
 // the pipeline makespan (fill + steady state + drain, see pim/pipeline.hpp)
-// while the per-stage fields keep their additive meaning. Results are
-// bit-identical to the synchronous path.
+// while the per-stage fields keep their additive meaning. Long-pair tiled
+// batches run their segment records as one chunk and stitch the results.
+// Results are bit-identical whatever the chunk count. Transfer volumes
+// come from the record strides of every logical DPU.
 //
 // Full-scale runs (2560 DPUs) may functionally simulate only the first
 // `simulate_dpus` DPUs: the workload is distributed uniformly, the first
@@ -73,28 +77,28 @@ struct PimOptions {
   usize tile_max_segment_bases = 0;
 
   // --- pipelined execution ---------------------------------------------
-  // Overlap scatter/kernel/gather across chunks of the batch. Falls back
-  // to the synchronous path when the planner decides one chunk is best.
+  // Overlap scatter/kernel/gather across chunks of the batch. Runs one
+  // chunk when the planner decides that is best, and always for tiled
+  // batches.
   bool pipeline = false;
   // Chunk count; 0 lets PipelineSchedule choose from the batch size, the
-  // rank topology and the per-launch overheads.
+  // rank topology and the per-launch overheads. Nonzero requires
+  // `pipeline` (the constructor rejects it otherwise).
   usize pipeline_chunks = 0;
-  // Upper bound on the planner's chunk choice.
-  usize pipeline_max_chunks = 64;
 
   // Translate the unified batch options (see align/batch.hpp).
   static PimOptions from(const align::BatchOptions& batch);
 };
 
 struct PimTimings {
-  // Stage-busy time, summed over chunks (equals the phase wall time in the
-  // synchronous path).
+  // Stage-busy time, summed over chunks (equals the phase wall time of a
+  // one-chunk run).
   double scatter_seconds = 0;
   double kernel_seconds = 0;
   double gather_seconds = 0;
 
-  // Modeled end-to-end time: additive for the synchronous path, the
-  // overlapped pipeline makespan when chunks > 1.
+  // Modeled end-to-end time: additive for a one-chunk run, the overlapped
+  // pipeline makespan when chunks > 1.
   double total_seconds() const {
     return chunks > 1 ? pipelined_total_seconds : additive_seconds();
   }
@@ -144,8 +148,8 @@ class PimBatchAligner final : public align::BatchAligner {
   // Align the batch (a non-owning view; MRAM ingestion reads - and, in
   // packed mode, packs - straight from the viewed pairs, so carving a
   // sub-batch for this call never copies bases host-side). `pool`, if
-  // given, parallelizes the host-side simulation: independent DPUs in the
-  // synchronous path, concurrent pipeline stages in pipelined mode (a
+  // given, parallelizes the host-side simulation: independent DPUs in a
+  // one-chunk run, concurrent pipeline stages in pipelined mode (a
   // simulator concern only; it does not affect modeled timing). Safe to
   // call concurrently on distinct batches: each call takes a PimSystem of
   // its own from this aligner's pool of idle systems (building one when
@@ -179,7 +183,7 @@ class PimBatchAligner final : public align::BatchAligner {
                                                 usize d);
 
  private:
-  // An idle system with its transfer stats reset, or a new one.
+  // An idle system, or a new one.
   std::unique_ptr<upmem::PimSystem> take_system(usize simulated)
       PIMWFA_EXCLUDES(idle_systems_mutex_);
   void give_back(std::unique_ptr<upmem::PimSystem> system)

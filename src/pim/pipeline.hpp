@@ -1,10 +1,10 @@
 // Chunked, pipelined execution planning for the PIM batch aligner.
 //
-// The synchronous path runs the batch as one scatter -> kernel -> gather
-// sequence, so the modeled Total is strictly additive even though real
-// UPMEM systems transfer and compute independently. Pipelined mode splits
-// every DPU's pair share into `chunks` contiguous slices and overlaps
-// scatter(i+1), kernel(i) and gather(i-1):
+// A one-chunk run is one scatter -> kernel -> gather sequence, so the
+// modeled Total is strictly additive even though real UPMEM systems
+// transfer and compute independently. Pipelined mode splits every DPU's
+// pair share into `chunks` contiguous slices and overlaps scatter(i+1),
+// kernel(i) and gather(i-1):
 //
 //        scatter: [0][1][2][3]
 //        kernel :    [0][1][2][3]
@@ -24,9 +24,9 @@
 // PipelineSchedule picks the chunk count: enough chunks that the slowest
 // stage dominates, but few enough that per-launch overheads (kernel launch
 // cost, per-launch header staging) stay a small fraction of the work.
-// Results are bit-identical to the synchronous path by construction - the
-// same pair records land at the same MRAM addresses and the same kernel
-// aligns them - and the differential suite asserts it.
+// Results are bit-identical to a one-chunk run by construction - the same
+// pair records land at the same MRAM addresses and the same kernel aligns
+// them - and the differential suite asserts it.
 #pragma once
 
 #include <span>
@@ -72,7 +72,6 @@ class PipelineSchedule {
     usize pairs = 0;        // virtual batch size
     usize nr_dpus = 0;      // logical DPUs the batch is spread over
     usize nr_tasklets = 1;
-    usize nr_ranks = 1;
     u64 scatter_bytes = 0;  // whole-batch host->device volume
     u64 gather_bytes = 0;   // whole-batch device->host volume
     double host_bandwidth = 1.0;          // bytes/s at this rank count

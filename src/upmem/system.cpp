@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/thread_safety.hpp"
 
 namespace pimwfa::upmem {
 
@@ -17,13 +18,6 @@ PimSystem::PimSystem(SystemConfig config, usize simulated_dpus)
   for (usize i = 0; i < count; ++i) {
     dpus_.push_back(std::make_unique<Dpu>(config_, i));
   }
-  touched_.assign(count, 0);
-}
-
-usize PimSystem::ranks_in_use() const noexcept {
-  // Transfers to a uniformly loaded system involve every rank whose DPUs
-  // hold data; with contiguous assignment that is ceil(logical / per-rank).
-  return config_.nr_ranks();
 }
 
 usize PimSystem::ranks_spanned(usize first_dpu, usize count) const noexcept {
@@ -36,45 +30,10 @@ usize PimSystem::ranks_spanned(usize first_dpu, usize count) const noexcept {
 
 void PimSystem::copy_to_mram(usize dpu, u64 addr, std::span<const u8> data) {
   dpus_.at(dpu)->mram().write(addr, data.data(), data.size());
-  MutexLock lock(stats_mutex_);
-  to_device_.bytes += data.size();
-  if (!touched_[dpu]) {
-    touched_[dpu] = 1;
-    ++to_device_.dpus_touched;
-  }
 }
 
 void PimSystem::copy_from_mram(usize dpu, u64 addr, std::span<u8> out) const {
   dpus_.at(dpu)->mram().read(addr, out.data(), out.size());
-  MutexLock lock(stats_mutex_);
-  from_device_.bytes += out.size();
-}
-
-void PimSystem::reset_transfer_stats() {
-  MutexLock lock(stats_mutex_);
-  to_device_ = TransferStats{};
-  from_device_ = TransferStats{};
-  std::fill(touched_.begin(), touched_.end(), 0);
-}
-
-void PimSystem::account_to_device(u64 bytes) {
-  MutexLock lock(stats_mutex_);
-  to_device_.bytes += bytes;
-}
-
-void PimSystem::account_from_device(u64 bytes) {
-  MutexLock lock(stats_mutex_);
-  from_device_.bytes += bytes;
-}
-
-TransferStats PimSystem::to_device() const {
-  MutexLock lock(stats_mutex_);
-  return to_device_;
-}
-
-TransferStats PimSystem::from_device() const {
-  MutexLock lock(stats_mutex_);
-  return from_device_;
 }
 
 LaunchStats PimSystem::launch_group(
@@ -113,14 +72,6 @@ LaunchStats PimSystem::launch_group(
     run_range(0, count);
   }
   return stats;
-}
-
-double PimSystem::scatter_seconds() const {
-  return cost_model_.transfer_seconds(to_device().bytes, ranks_in_use());
-}
-
-double PimSystem::gather_seconds() const {
-  return cost_model_.transfer_seconds(from_device().bytes, ranks_in_use());
 }
 
 }  // namespace pimwfa::upmem

@@ -1,13 +1,15 @@
 // PimSystem: a set of simulated DPUs plus the host-side transfer and
-// launch machinery, with the timing breakdown of the paper's Fig. 1
-// (scatter -> kernel -> gather; "Total" includes transfers, "Kernel" does
-// not).
+// launch machinery behind the paper's Fig. 1 breakdown (scatter -> kernel
+// -> gather). It moves bytes and runs kernels and keeps no traffic
+// counters: the host's one chunked loop (pim/host.cpp) derives every
+// transfer volume from its record strides and prices it through
+// cost_model().
 //
 // The transfer and launch entry points are stage-granular and thread-safe
-// so the pipelined host path can run scatter(i+1), kernel(i) and
-// gather(i-1) concurrently: byte accounting is mutex-guarded, launches can
-// target a DPU subrange, and the paged MRAM makes concurrent access to
-// disjoint byte ranges safe (see upmem/mram.hpp).
+// so that loop can run scatter(i+1), kernel(i) and gather(i-1)
+// concurrently: launches can target a DPU subrange, and the paged MRAM
+// makes concurrent access to disjoint byte ranges safe (see
+// upmem/mram.hpp).
 #pragma once
 
 #include <functional>
@@ -16,22 +18,10 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "common/thread_safety.hpp"
 #include "upmem/cost_model.hpp"
 #include "upmem/dpu.hpp"
 
 namespace pimwfa::upmem {
-
-// Accumulated host<->DPU traffic of one experiment phase.
-struct TransferStats {
-  u64 bytes = 0;
-  usize dpus_touched = 0;
-
-  // Modeled wall time, given how many ranks participate.
-  double seconds(const CostModel& model, usize ranks) const {
-    return model.transfer_seconds(bytes, ranks);
-  }
-};
 
 // Result of launching a kernel across a DPU group.
 struct LaunchStats {
@@ -59,34 +49,20 @@ class PimSystem {
 
   usize nr_dpus() const noexcept { return dpus_.size(); }  // simulated
   usize logical_dpus() const noexcept { return config_.nr_dpus(); }
-  usize ranks_in_use() const noexcept;
 
   // Ranks a contiguous range of `count` logical DPUs starting at
   // `first_dpu` spans; transfers to that range proceed at this many
-  // ranks' parallelism. The pipelined path slices every DPU, so it passes
-  // the full logical range; DPU-subset transfers would pass their group.
+  // ranks' parallelism. Every chunk of the host loop slices every DPU, so
+  // it passes the full logical range; DPU-subset transfers would pass
+  // their group.
   usize ranks_spanned(usize first_dpu, usize count) const noexcept;
 
   Dpu& dpu(usize index) { return *dpus_.at(index); }
   const Dpu& dpu(usize index) const { return *dpus_.at(index); }
 
-  // --- host<->MRAM transfers (byte-accounted, thread-safe) -------------
-  void copy_to_mram(usize dpu, u64 addr, std::span<const u8> data)
-      PIMWFA_EXCLUDES(stats_mutex_);
-  void copy_from_mram(usize dpu, u64 addr, std::span<u8> out) const
-      PIMWFA_EXCLUDES(stats_mutex_);
-
-  // Traffic recorded since the last reset_transfer_stats(), split by
-  // direction. Read these only while no transfer stage is in flight.
-  TransferStats to_device() const PIMWFA_EXCLUDES(stats_mutex_);
-  TransferStats from_device() const PIMWFA_EXCLUDES(stats_mutex_);
-  void reset_transfer_stats() PIMWFA_EXCLUDES(stats_mutex_);
-
-  // Record traffic without materializing it (used when only a subset of a
-  // uniform workload is functionally simulated; the remaining bytes still
-  // cross the bus in the timing model).
-  void account_to_device(u64 bytes) PIMWFA_EXCLUDES(stats_mutex_);
-  void account_from_device(u64 bytes) PIMWFA_EXCLUDES(stats_mutex_);
+  // --- host<->MRAM transfers (thread-safe on disjoint bytes) -----------
+  void copy_to_mram(usize dpu, u64 addr, std::span<const u8> data);
+  void copy_from_mram(usize dpu, u64 addr, std::span<u8> out) const;
 
   // --- launch ----------------------------------------------------------
   // Launch one kernel instance per simulated DPU in [first, first+count).
@@ -101,30 +77,13 @@ class PimSystem {
       usize nr_tasklets, ThreadPool* pool = nullptr,
       std::vector<u64>* per_dpu_cycles = nullptr);
 
-  // Launch across every simulated DPU.
-  LaunchStats launch_all(
-      const std::function<std::unique_ptr<DpuKernel>(usize)>& factory,
-      usize nr_tasklets, ThreadPool* pool = nullptr) {
-    return launch_group(0, dpus_.size(), factory, nr_tasklets, pool);
-  }
-
-  // Convenience timing queries for the Fig. 1 breakdown.
-  double scatter_seconds() const;
-  double gather_seconds() const;
-
  private:
   SystemConfig config_;
   CostModel cost_model_;
-  // The DPU objects themselves are not guarded: concurrent stages touch
-  // disjoint MRAM byte ranges, which the paged store makes safe, and
-  // launches of one DPU never overlap each other (the pipeline schedule
-  // sequences them).
+  // The DPU objects are not guarded: concurrent stages touch disjoint
+  // MRAM byte ranges, which the paged store makes safe, and launches of
+  // one DPU never overlap each other (the chunk schedule sequences them).
   std::vector<std::unique_ptr<Dpu>> dpus_;
-  mutable Mutex stats_mutex_;
-  mutable TransferStats to_device_ PIMWFA_GUARDED_BY(stats_mutex_);
-  mutable TransferStats from_device_ PIMWFA_GUARDED_BY(stats_mutex_);
-  // Per-DPU traffic flags (dpus_touched accounting).
-  mutable std::vector<u8> touched_ PIMWFA_GUARDED_BY(stats_mutex_);
 };
 
 }  // namespace pimwfa::upmem

@@ -483,7 +483,8 @@ INSTANTIATE_TEST_SUITE_P(
 // BatchEngine::run_sharded carves one batch into O(1) sub-views and keeps
 // them in flight concurrently; the merged results must be bit-identical
 // (scores + CIGARs) and in input order vs. the unsharded owning path, on
-// every registered backend, with zero bases copied by the carve.
+// cpu, hybrid and pim under each of its BatchOptions variants, with zero
+// bases copied by the carve.
 
 class ShardedViewDifferential : public ::testing::TestWithParam<DiffConfig> {
 };
@@ -502,17 +503,28 @@ TEST_P(ShardedViewDifferential, ShardedViewsMatchTheUnshardedOwningPath) {
   // only on shape, and the sweep stays runner-independent.
   options.cpu_per_pair_seconds = 5e-6;
 
+  struct Case {
+    std::string backend;
+    std::string key;  // the backend and its flags, for messages
+    align::BatchOptions options;
+  };
+  std::vector<Case> cases = {{"cpu", "cpu", options}};
+  for (const auto& [label, variant] : pimwfa::testing::pim_variants(options)) {
+    cases.push_back({"pim", label, variant});
+  }
+  cases.push_back({"hybrid", "hybrid", options});
+
   align::BackendRegistry& registry = align::backend_registry();
-  for (const char* key :
-       {"cpu", "pim", "pim-pipelined", "pim-packed", "hybrid"}) {
+  for (const auto& [backend, key, backend_options] : cases) {
     // The owning path: the whole set handed to the backend in one run.
     const align::BatchResult unsharded =
-        registry.create(key, options)->run(batch, AlignmentScope::kFull);
+        registry.create(backend, backend_options)
+            ->run(batch, AlignmentScope::kFull);
     ASSERT_EQ(unsharded.results.size(), batch.size()) << key;
 
     align::BatchEngineOptions engine_options;
-    engine_options.backend = key;
-    engine_options.batch = options;
+    engine_options.backend = backend;
+    engine_options.batch = backend_options;
     engine_options.max_in_flight = 3;
     engine_options.workers = 2;
     align::BatchEngine engine(engine_options);

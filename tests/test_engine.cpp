@@ -12,7 +12,9 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "align/batch_engine.hpp"
 #include "align/hybrid.hpp"
@@ -48,14 +50,23 @@ BatchOptions tiny_options() {
 
 // --- registry ------------------------------------------------------------
 
+const std::vector<std::string> kBuiltinBackends = {"cpu", "cpu-simd", "pim",
+                                                   "hybrid"};
+
 TEST(BackendRegistry, BuiltinBackendsAreRegistered) {
   align::BackendRegistry& registry = align::backend_registry();
-  for (const char* name :
-       {"cpu", "pim", "pim-pipelined", "pim-packed", "hybrid"}) {
+  for (const std::string& name : kBuiltinBackends) {
     EXPECT_TRUE(registry.contains(name)) << name;
   }
-  EXPECT_GE(registry.names().size(), 5u);
+  // The PIM variants are BatchOptions flags on `pim`, not keys.
+  EXPECT_FALSE(registry.contains("pim-pipelined"));
+  EXPECT_FALSE(registry.contains("pim-packed"));
+  const std::vector<std::string> names = registry.names();
+  ASSERT_GE(names.size(), kBuiltinBackends.size());
+  EXPECT_TRUE(std::equal(kBuiltinBackends.begin(), kBuiltinBackends.end(),
+                         names.begin()));
   EXPECT_NE(registry.describe().find("hybrid"), std::string::npos);
+  EXPECT_NE(registry.describe().find("--pipeline"), std::string::npos);
 }
 
 TEST(BackendRegistry, UnknownBackendThrowsWithKnownNames) {
@@ -63,8 +74,10 @@ TEST(BackendRegistry, UnknownBackendThrowsWithKnownNames) {
     align::backend_registry().create("gpu", BatchOptions{});
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& error) {
-    EXPECT_NE(std::string(error.what()).find("pim-pipelined"),
-              std::string::npos);
+    for (const std::string& name : kBuiltinBackends) {
+      EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+          << name;
+    }
   }
 }
 
@@ -79,13 +92,15 @@ TEST(BackendRegistry, DuplicateRegistrationThrows) {
 }
 
 TEST(BackendRegistry, BackendNamesMatchTheirKeys) {
-  const seq::ReadPairSet batch = small_batch(24);
-  for (const std::string& key :
-       {std::string("cpu"), std::string("pim"), std::string("pim-pipelined"),
-        std::string("pim-packed"), std::string("hybrid")}) {
+  for (const std::string& key : kBuiltinBackends) {
     const auto backend =
         align::backend_registry().create(key, tiny_options());
     EXPECT_EQ(backend->name(), key);
+  }
+  for (const auto& [label, options] :
+       pimwfa::testing::pim_variants(tiny_options())) {
+    EXPECT_EQ(align::backend_registry().create("pim", options)->name(), "pim")
+        << label;
   }
 }
 
@@ -122,15 +137,16 @@ TEST(UnifiedRun, PimBackendsMatchNativeAndEachOther) {
   const pim::PimBatchResult reference =
       native.align_batch(batch, AlignmentScope::kFull);
 
-  for (const char* key : {"pim", "pim-packed", "pim-pipelined"}) {
-    const auto backend =
-        align::backend_registry().create(key, tiny_options());
+  for (const auto& [key, options] :
+       pimwfa::testing::pim_variants(tiny_options())) {
+    const auto backend = align::backend_registry().create("pim", options);
     const BatchResult unified = backend->run(batch, AlignmentScope::kFull);
     ASSERT_EQ(unified.results.size(), batch.size()) << key;
     for (usize i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(unified.results[i], reference.results[i])
           << key << " pair " << i;
     }
+    EXPECT_EQ(unified.backend, "pim") << key;
     EXPECT_EQ(unified.timings.pim_pairs, batch.size()) << key;
     EXPECT_EQ(unified.timings.cpu_fraction, 0.0) << key;
     EXPECT_GT(unified.timings.modeled_seconds, 0.0) << key;
@@ -491,6 +507,19 @@ TEST(BatchOptions, ValidateRejectsBadFields) {
   options = BatchOptions{};
   options.penalties.mismatch = 0;
   EXPECT_THROW(options.validate(), InvalidArgument);
+  // A forced chunk count without pipelining would be ignored silently.
+  options = BatchOptions{};
+  options.pim_pipeline_chunks = 4;
+  try {
+    options.validate();
+    FAIL() << "expected InvalidArgument for --chunks without --pipeline";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("--pipeline"),
+              std::string::npos)
+        << error.what();
+  }
+  options.pim_pipeline = true;
+  EXPECT_NO_THROW(options.validate());
   EXPECT_NO_THROW(BatchOptions{}.validate());
 }
 

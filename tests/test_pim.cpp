@@ -528,28 +528,6 @@ TEST(PimBatch, TimingBreakdownSane) {
 
 // --- system reuse: a recycled PimSystem answers like a fresh one ---------
 
-void expect_same_timings(const PimTimings& a, const PimTimings& b) {
-  EXPECT_EQ(a.scatter_seconds, b.scatter_seconds);
-  EXPECT_EQ(a.kernel_seconds, b.kernel_seconds);
-  EXPECT_EQ(a.gather_seconds, b.gather_seconds);
-  EXPECT_EQ(a.kernel_cycles_max, b.kernel_cycles_max);
-  EXPECT_EQ(a.kernel_cycles_total, b.kernel_cycles_total);
-  EXPECT_EQ(a.bytes_to_device, b.bytes_to_device);
-  EXPECT_EQ(a.bytes_from_device, b.bytes_from_device);
-  EXPECT_EQ(a.work.instructions, b.work.instructions);
-  EXPECT_EQ(a.work.dma_calls, b.work.dma_calls);
-  EXPECT_EQ(a.work.dma_bytes, b.work.dma_bytes);
-  EXPECT_EQ(a.work.dma_cycles, b.work.dma_cycles);
-  EXPECT_EQ(a.pairs, b.pairs);
-  EXPECT_EQ(a.logical_dpus, b.logical_dpus);
-  EXPECT_EQ(a.simulated_dpus, b.simulated_dpus);
-  EXPECT_EQ(a.nr_tasklets, b.nr_tasklets);
-  EXPECT_EQ(a.tiled_pairs, b.tiled_pairs);
-  EXPECT_EQ(a.tile_segments, b.tile_segments);
-  EXPECT_EQ(a.chunks, b.chunks);
-  EXPECT_EQ(a.pipelined_total_seconds, b.pipelined_total_seconds);
-}
-
 // Runs `first` (full scope) and then `second` on one aligner, so `second`
 // lands on the system `first` left behind, and checks `second` against a
 // fresh aligner. Returns the first call's timings.
@@ -564,7 +542,7 @@ PimTimings expect_reuse_matches_fresh(const PimOptions& options,
   PimBatchAligner fresh(options);
   const PimBatchResult expected = fresh.align_batch(second, scope);
   EXPECT_EQ(again.results, expected.results);
-  expect_same_timings(again.timings, expected.timings);
+  pimwfa::testing::expect_same_timings(again.timings, expected.timings);
   return first_timings;
 }
 

@@ -27,7 +27,6 @@ PipelineSchedule::Params paper_params() {
   params.pairs = 5'000'000;
   params.nr_dpus = 2560;
   params.nr_tasklets = 24;
-  params.nr_ranks = 40;
   params.scatter_bytes = 5'000'000ull * 216;
   params.gather_bytes = 5'000'000ull * 216;
   params.host_bandwidth = 7.2e9;
@@ -264,6 +263,28 @@ TEST(PipelinedAligner, SynchronousTimingsCarryNoPipelineFields) {
   EXPECT_EQ(result.timings.pipelined_total_seconds, 0.0);
   EXPECT_DOUBLE_EQ(result.timings.total_seconds(),
                    result.timings.additive_seconds());
+}
+
+TEST(PipelinedAligner, ForcedChunksWithoutPipeliningAreRejected) {
+  // A forced chunk count would be ignored silently with pipelining off, so
+  // both construction paths reject it.
+  pim::PimOptions options;
+  options.system = upmem::SystemConfig::tiny(2);
+  options.nr_tasklets = 4;
+  options.pipeline_chunks = 4;
+  try {
+    pim::PimBatchAligner aligner(options);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("--pipeline"), std::string::npos)
+        << error.what();
+  }
+  align::BatchOptions batch_options;
+  batch_options.pim_dpus = 2;
+  batch_options.pim_pipeline_chunks = 4;
+  EXPECT_THROW(pim::PimBatchAligner{batch_options}, InvalidArgument);
+  options.pipeline = true;
+  EXPECT_NO_THROW(pim::PimBatchAligner{options});
 }
 
 // --- BenchReport ---------------------------------------------------------

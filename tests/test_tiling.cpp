@@ -166,6 +166,33 @@ TEST(PimTiling, WramShareScreensLongPairsAutomatically) {
   EXPECT_GT(result.timings.tile_segments, 1u);
 }
 
+TEST(PimTiling, PipelinedTiledBatchesRunAsOneChunk) {
+  Rng rng(33);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 1400, 30));
+  batch.add(pimwfa::testing::random_pair(rng, 90, 3));
+  // One DPU with two tasklets: the segment records span enough tasklet
+  // rows that a forced 3-chunk schedule would be honored if tiled batches
+  // pipelined.
+  PimOptions options = tiny_options(1, 2);
+  options.tile_max_segment_bases = 512;
+  PimBatchAligner plain(options);
+  const PimBatchResult expected =
+      plain.align_batch(batch, AlignmentScope::kFull);
+  ASSERT_EQ(expected.timings.tiled_pairs, 1u);
+  ASSERT_GE(expected.timings.tile_segments, 6u);
+  for (const usize chunks : {0u, 3u}) {
+    PimOptions pipelined = options;
+    pipelined.pipeline = true;
+    pipelined.pipeline_chunks = chunks;
+    PimBatchAligner aligner(pipelined);
+    const PimBatchResult result =
+        aligner.align_batch(batch, AlignmentScope::kFull);
+    EXPECT_EQ(result.results, expected.results) << "chunks=" << chunks;
+    pimwfa::testing::expect_same_timings(result.timings, expected.timings);
+  }
+}
+
 TEST(PimTiling, DisabledTilingNamesTheOffendingPair) {
   Rng rng(10);
   seq::ReadPairSet batch;

@@ -1,13 +1,17 @@
 // Shared helpers for the pimwfa test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "align/batch.hpp"
 #include "align/penalties.hpp"
 #include "common/rng.hpp"
+#include "pim/host.hpp"
 #include "seq/generator.hpp"
 
 namespace pimwfa::testing {
@@ -26,6 +30,47 @@ inline seq::ReadPair unrelated_pair(Rng& rng, usize pattern_length,
                                     usize text_length) {
   return {seq::random_sequence(rng, pattern_length),
           seq::random_sequence(rng, text_length)};
+}
+
+// The pim backend's BatchOptions variants, labelled by their CLI flags:
+// default, 2-bit packed transfers, and pipelined stages.
+inline std::vector<std::pair<std::string, align::BatchOptions>> pim_variants(
+    const align::BatchOptions& base) {
+  align::BatchOptions packed = base;
+  packed.pim_packed = true;
+  align::BatchOptions pipelined = base;
+  pipelined.pim_pipeline = true;
+  return {{"pim", base},
+          {"pim --packed", packed},
+          {"pim --pipeline", pipelined}};
+}
+
+// Every PimTimings field of `a` equals `b`'s, bit for bit.
+inline void expect_same_timings(const pim::PimTimings& a,
+                                const pim::PimTimings& b) {
+  EXPECT_EQ(a.scatter_seconds, b.scatter_seconds);
+  EXPECT_EQ(a.kernel_seconds, b.kernel_seconds);
+  EXPECT_EQ(a.gather_seconds, b.gather_seconds);
+  EXPECT_EQ(a.kernel_cycles_max, b.kernel_cycles_max);
+  EXPECT_EQ(a.kernel_cycles_total, b.kernel_cycles_total);
+  EXPECT_EQ(a.bytes_to_device, b.bytes_to_device);
+  EXPECT_EQ(a.bytes_from_device, b.bytes_from_device);
+  EXPECT_EQ(a.work.instructions, b.work.instructions);
+  EXPECT_EQ(a.work.dma_calls, b.work.dma_calls);
+  EXPECT_EQ(a.work.dma_bytes, b.work.dma_bytes);
+  EXPECT_EQ(a.work.dma_cycles, b.work.dma_cycles);
+  EXPECT_EQ(a.pairs, b.pairs);
+  EXPECT_EQ(a.logical_dpus, b.logical_dpus);
+  EXPECT_EQ(a.simulated_dpus, b.simulated_dpus);
+  EXPECT_EQ(a.nr_tasklets, b.nr_tasklets);
+  EXPECT_EQ(a.tiled_pairs, b.tiled_pairs);
+  EXPECT_EQ(a.tile_segments, b.tile_segments);
+  EXPECT_EQ(a.chunks, b.chunks);
+  EXPECT_EQ(a.pipelined_total_seconds, b.pipelined_total_seconds);
+  EXPECT_EQ(a.fill_seconds, b.fill_seconds);
+  EXPECT_EQ(a.drain_seconds, b.drain_seconds);
+  EXPECT_EQ(a.steady_state_seconds, b.steady_state_seconds);
+  EXPECT_EQ(a.overlap_saved_seconds, b.overlap_saved_seconds);
 }
 
 // --- differential-testing support ---------------------------------------
