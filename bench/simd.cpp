@@ -8,10 +8,10 @@
 //    WfaAligner loop as the reference. Runner-dependent; reported for
 //    eyeballing, never gated.
 //  - modeled: the deterministic work-counter speedup from
-//    cpu::simd::model_sample - the number the hybrid calibrator uses to
-//    scale its CPU-side cost, and the one CI gates as
-//    simd_vs_scalar_throughput (same seed + config => same value on any
-//    runner).
+//    cpu::simd::model_sample - the number the hybrid calibrator and
+//    cpu-simd run() divide a cpu_per_pair_seconds override by, and the
+//    one CI gates as simd_vs_scalar_throughput (same seed + config =>
+//    same value on any runner).
 //
 // Every level's results are checked bit-identical (scores + CIGARs) to
 // the scalar loop before anything is reported; a divergence exits 1.

@@ -56,18 +56,18 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
     // and the fast-path fraction shrinks the modeled traffic floor -
     // which is what actually moves the split, the scalar CPU side being
     // bandwidth-bound on the paper's machine.
-    double speedup = 1.0;
     double traffic_per_pair = -1.0;
-    if (options_.cpu_simd) {
-      const cpu::simd::SpeedupModel model = cpu::simd::model_sample(
-          batch.first(sample_pairs), options_.penalties, scope,
-          cpu::simd::FastPathConfig{options_.cpu_simd_edit_threshold},
-          cpu::simd::active_level());
-      speedup = model.speedup;
-      traffic_per_pair = model.traffic_bytes_per_pair;
-    }
     double metadata_per_pair = 0;
     if (options_.cpu_per_pair_seconds > 0) {
+      double speedup = 1.0;
+      if (options_.cpu_simd) {
+        const cpu::simd::SpeedupModel model = cpu::simd::model_sample(
+            batch.first(sample_pairs), options_.penalties, scope,
+            cpu::simd::FastPathConfig{options_.cpu_simd_edit_threshold},
+            cpu::simd::active_level());
+        speedup = model.speedup;
+        traffic_per_pair = model.traffic_bytes_per_pair;
+      }
       out.cpu_per_pair_seconds = options_.cpu_per_pair_seconds / speedup;
     } else {
       cpu::CpuBatchOptions calibration_options =
@@ -79,10 +79,15 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
       const double per_pair_host =
           measured.seconds / static_cast<double>(sample_pairs);
       // A SIMD calibrator measures the SIMD loop, so the speedup is
-      // already in the sample; never divide it in twice.
+      // already in the sample; never divide it in twice. Its fast-path
+      // counters (same level and edit threshold as the CPU share) price
+      // the traffic floor.
       out.cpu_per_pair_seconds = per_pair_host * cpu_system.host_core_ratio;
       metadata_per_pair = static_cast<double>(measured.work.allocated_bytes) /
                           static_cast<double>(sample_pairs);
+      if (options_.cpu_simd) {
+        traffic_per_pair = cpu::simd::traffic_bytes_per_pair(measured.simd);
+      }
     }
     const u64 metadata_bytes = static_cast<u64>(metadata_per_pair * n);
     out.cpu_traffic_bytes =

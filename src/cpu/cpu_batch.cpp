@@ -117,6 +117,7 @@ CpuBatchResult CpuBatchAligner::align_batch(seq::ReadPairSpan batch,
 align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
                                         align::AlignmentScope scope,
                                         ThreadPool* pool) {
+  WallTimer timer;
   CpuBatchResult native = align_batch(batch, scope, pool);
   const usize materialized = batch.size();
   const usize pairs = virtual_pairs_ != 0
@@ -131,14 +132,16 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
   out.backend = name();
   out.results = std::move(native.results);
   align::BatchTimings& t = out.timings;
-  t.wall_seconds = native.seconds;
   t.cpu_wall_seconds = native.seconds;
   t.pairs = pairs;
   t.materialized = materialized;
   t.cpu_pairs = pairs;
   t.cpu_fraction = 1.0;
   t.peak_wavefront_bytes = native.work.peak_wavefront_bytes;
-  if (materialized == 0) return out;
+  if (materialized == 0) {
+    t.wall_seconds = timer.seconds();
+    return out;
+  }
 
   // Roofline projection onto the modeled server. Single-thread cost comes
   // from the calibration override when given (deterministic, used by CI);
@@ -160,21 +163,22 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
           : static_cast<u64>(
                 static_cast<double>(native.work.allocated_bytes) * scale);
   if (options_.simd) {
-    // SIMD projection: the deterministic cost model prices a sample's
-    // work counters to scale the calibrated per-pair override (measured
-    // t1 already includes the SIMD effects) and to shrink the traffic
-    // floor by the fast-path fraction - fast-path pairs never touch the
-    // wavefront arena, so their DRAM footprint is just their sequences.
-    const simd::SpeedupModel model = simd::model_sample(
-        batch.first(std::min<usize>(materialized, 128)), options_.penalties,
-        scope, simd::FastPathConfig{options_.simd_edit_threshold},
-        simd_level_);
-    const double t1_simd = per_pair_seconds_override_ > 0
-                               ? t1_model / model.speedup
-                               : t1_model;
+    // SIMD projection: fast-path pairs never touch the wavefront arena,
+    // so the traffic floor is priced from this batch's own fast-path
+    // counters. Measured t1 already includes the SIMD effects; only the
+    // calibrated (scalar) override needs the modeled speedup divided in,
+    // which costs model_sample's two extra alignments of a sample.
+    double t1_simd = t1_model;
+    if (per_pair_seconds_override_ > 0) {
+      const simd::SpeedupModel model = simd::model_sample(
+          batch.first(std::min<usize>(materialized, 128)), options_.penalties,
+          scope, simd::FastPathConfig{options_.simd_edit_threshold},
+          simd_level_);
+      t1_simd = t1_model / model.speedup;
+    }
     t.modeled_seconds = project_batch_seconds_traffic(
         system, t1_simd,
-        model.traffic_bytes_per_pair * static_cast<double>(pairs),
+        simd::traffic_bytes_per_pair(native.simd) * static_cast<double>(pairs),
         model_threads_);
   } else {
     t.modeled_seconds = project_batch_seconds(system, t1_model, pairs,
@@ -182,6 +186,7 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
   }
   t.cpu_modeled_seconds = t.modeled_seconds;
   t.cpu_alone_seconds = t.modeled_seconds;
+  t.wall_seconds = timer.seconds();
   return out;
 }
 

@@ -63,7 +63,11 @@ class CpuBatchAligner final : public align::BatchAligner {
 
   // Unified interface: measures with the configured host threads and
   // projects the measurement onto the modeled server (ScalingModel) for
-  // BatchTimings::modeled_seconds.
+  // BatchTimings::modeled_seconds. In simd mode the traffic floor comes
+  // from this batch's fast-path counters; simd::model_sample runs (on the
+  // first 128 pairs) only to divide a cpu_per_pair_seconds override by
+  // its modeled speedup. wall_seconds covers the whole call,
+  // cpu_wall_seconds the worker loop alone.
   align::BatchResult run(seq::ReadPairSpan batch,
                          align::AlignmentScope scope,
                          ThreadPool* pool = nullptr) override;

@@ -62,6 +62,17 @@ constexpr double kFastPathFixedTrafficBytes = 300.0;
 
 }  // namespace
 
+double traffic_bytes_per_pair(const SimdStats& stats) {
+  PIMWFA_ARG_CHECK(stats.pairs > 0, "SIMD traffic model needs a pair");
+  const double n = static_cast<double>(stats.pairs);
+  const TrafficModel traffic{};
+  const double fast = static_cast<double>(stats.fast_path_pairs());
+  const double fast_traffic =
+      static_cast<double>(stats.fast_path_bases) +
+      fast * kFastPathFixedTrafficBytes;
+  return ((n - fast) * traffic.per_pair_fixed_bytes + fast_traffic) / n;
+}
+
 SpeedupModel model_sample(seq::ReadPairSpan sample,
                           const align::Penalties& penalties,
                           align::AlignmentScope scope,
@@ -103,19 +114,7 @@ SpeedupModel model_sample(seq::ReadPairSpan sample,
                     ? out.scalar_units_per_pair / out.simd_units_per_pair
                     : 1.0;
   out.fast_path_fraction = stats.fast_path_fraction();
-
-  // Traffic model: fallback pairs keep the scalar backend's fixed
-  // per-pair footprint; fast-path pairs touch only their sequences plus
-  // a result record. Wavefront metadata is deliberately excluded on both
-  // sides, mirroring the deterministic cpu_per_pair_seconds calibration
-  // path (scaling_model.hpp).
-  const TrafficModel traffic{};
-  const double fast = static_cast<double>(stats.fast_path_pairs());
-  const double fast_traffic =
-      static_cast<double>(stats.fast_path_bases) +
-      fast * kFastPathFixedTrafficBytes;
-  out.traffic_bytes_per_pair =
-      ((n - fast) * traffic.per_pair_fixed_bytes + fast_traffic) / n;
+  out.traffic_bytes_per_pair = traffic_bytes_per_pair(stats);
   return out;
 }
 

@@ -147,12 +147,26 @@ void align_range(seq::ReadPairSpan batch, usize begin, usize end,
                  wfa::WfaAligner::MemoryMode memory_mode =
                      wfa::WfaAligner::MemoryMode::kHigh);
 
+// Modeled DRAM traffic per pair of the pairs counted in `stats` (an
+// align_range run; stats.pairs must be > 0). Fallback pairs keep the
+// scalar backend's fixed per-pair footprint; fast-path pairs touch only
+// their sequences plus a result record. Wavefront metadata is excluded
+// on both sides, mirroring the deterministic cpu_per_pair_seconds path
+// (scaling_model.hpp). This is the one traffic formula: model_sample
+// prices its sample with it, and the cpu-simd projection and the hybrid
+// calibration price the counters of the batch they just aligned.
+double traffic_bytes_per_pair(const SimdStats& stats);
+
 // Deterministic single-core cost model of the SIMD layer, derived from
 // work counters (never wall time): the same sample is aligned once with
 // scalar kernels and once through align_range, and both runs' counters
 // are priced in scalar unit-operations with fixed per-level lane
-// efficiencies. Drives the CI perf gate (simd_vs_scalar_throughput) and
-// the hybrid calibration, so it must be reproducible across machines.
+// efficiencies. Since it re-aligns its sample twice, only the callers
+// that read its speedup run it: the CI perf gate
+// (bench_simd's simd_vs_scalar_throughput), and the cpu-simd run() and
+// hybrid calibration when a cpu_per_pair_seconds override must be
+// divided by the modeled speedup. It must be reproducible across
+// machines.
 struct SpeedupModel {
   double speedup = 1.0;              // scalar units / simd units
   double fast_path_fraction = 0.0;   // pairs resolved without full WFA

@@ -42,6 +42,10 @@ void MapperOptions::validate() const {
   PIMWFA_ARG_CHECK(seeds_per_read >= 1, "seeds_per_read must be >= 1");
   PIMWFA_ARG_CHECK(error_rate >= 0.0 && error_rate <= 1.0,
                    "error rate " << error_rate << " outside [0,1]");
+  const align::BackendRegistry& registry = align::backend_registry();
+  PIMWFA_ARG_CHECK(registry.contains(backend),
+                   "unknown backend '" << backend << "' (registered: "
+                                       << registry.joined_names() << ")");
   batch.validate();
   // Every survivor needs a materialized result to pick the best hit
   // from; modes that model pairs without aligning them cannot back a

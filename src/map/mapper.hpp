@@ -60,9 +60,10 @@ struct MapperOptions {
   usize engine_in_flight = 2;
   usize engine_workers = 2;
 
-  // Throws InvalidArgument on out-of-range fields (including batch
-  // modes that under-materialize results - the mapper needs a score for
-  // every survivor, so virtual_pairs / pim_simulate_dpus must be 0).
+  // Throws InvalidArgument on out-of-range fields (including a backend
+  // key the registry does not know, and batch modes that
+  // under-materialize results - the mapper needs a score for every
+  // survivor, so virtual_pairs / pim_simulate_dpus must be 0).
   void validate() const;
 };
 

@@ -20,6 +20,7 @@
 #include "align/hybrid.hpp"
 #include "align/registry.hpp"
 #include "cpu/cpu_batch.hpp"
+#include "cpu/simd/simd.hpp"
 #include "pim/host.hpp"
 #include "seq/generator.hpp"
 #include "test_util.hpp"
@@ -278,6 +279,30 @@ TEST(Hybrid, PaperShapeModeledTimeBeatsBothBackendsAlone) {
   for (usize i = 0; i < result.results.size(); ++i) {
     EXPECT_EQ(result.results[i], reference.results[i]) << "pair " << i;
   }
+}
+
+// Without the override, the calibrator's own SIMD counters price the CPU
+// traffic floor: the same figure model_sample gives for the calibration
+// sample, scaled to the batch.
+TEST(Hybrid, SimdCalibrationTrafficMatchesTheSampledModel) {
+  const seq::ReadPairSet batch = seq::fig1_dataset(200, 0.02, 0x51D);
+  BatchOptions options = tiny_options();
+  options.cpu_simd = true;
+  ASSERT_EQ(options.cpu_per_pair_seconds, 0.0);
+  ASSERT_LT(options.hybrid_calibration_pairs, batch.size());
+  align::HybridBatchAligner hybrid(options);
+  const align::HybridBatchAligner::Plan plan =
+      hybrid.plan(batch, AlignmentScope::kFull);
+
+  const seq::ReadPairSpan sample =
+      seq::ReadPairSpan(batch).first(options.hybrid_calibration_pairs);
+  const cpu::simd::SimdLevel level = cpu::simd::active_level();
+  const cpu::simd::SpeedupModel model = cpu::simd::model_sample(
+      sample, options.penalties, AlignmentScope::kFull, {}, level);
+  EXPECT_LT(model.fast_path_fraction, 1.0);
+  EXPECT_GT(model.fast_path_fraction, 0.0);
+  EXPECT_EQ(plan.cpu_traffic_bytes,
+            model.traffic_bytes_per_pair * static_cast<double>(batch.size()));
 }
 
 // --- BatchEngine ---------------------------------------------------------

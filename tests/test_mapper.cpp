@@ -458,6 +458,9 @@ TEST(MapperOptions, Validation) {
   options.batch.pim_simulate_dpus = 1;
   EXPECT_THROW(ReadMapper(genome, options), InvalidArgument);
   options = {};
+  options.backend = "no-such-backend";
+  EXPECT_THROW(ReadMapper(genome, options), InvalidArgument);
+  options = {};
   EXPECT_THROW(ReadMapper("", options), InvalidArgument);
 }
 

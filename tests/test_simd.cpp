@@ -458,5 +458,66 @@ TEST(SimdBackend, CostModelReportsSpeedupAndTrafficReduction) {
   }
 }
 
+// The traffic floor has one formula: pricing align_range's counters
+// directly must give model_sample's figure for the same sample, bit for
+// bit, whichever fast paths fired.
+TEST(SimdBackend, TrafficHelperMatchesModelSampleExactly) {
+  const seq::ReadPairSet batch = seq::fig1_dataset(128, 0.02, 19);
+  for (const SimdLevel level : available_levels()) {
+    for (const AlignmentScope scope :
+         {AlignmentScope::kScoreOnly, AlignmentScope::kFull}) {
+      std::vector<align::AlignmentResult> results;
+      const SimdStats stats = run_align_range(batch, Penalties::defaults(),
+                                              scope, level, {}, results);
+      EXPECT_GT(stats.hamming_pairs, 0u);
+      if (scope == AlignmentScope::kScoreOnly) {
+        EXPECT_GT(stats.gap_pairs, 0u);
+      }
+      const cpu::simd::SpeedupModel model = cpu::simd::model_sample(
+          batch, Penalties::defaults(), scope, {}, level);
+      EXPECT_EQ(cpu::simd::traffic_bytes_per_pair(stats),
+                model.traffic_bytes_per_pair)
+          << cpu::simd::level_name(level);
+    }
+  }
+  EXPECT_THROW(cpu::simd::traffic_bytes_per_pair(SimdStats{}), InvalidArgument);
+}
+
+// With the calibrated per-pair override, run() divides the override by
+// the modeled speedup and prices traffic over the batch: for a batch of
+// at most 128 pairs that is exactly the sampled model's projection.
+TEST(SimdBackend, OverrideProjectionMatchesTheSampledModel) {
+  const seq::ReadPairSet batch = seq::fig1_dataset(100, 0.02, 23);
+  align::BatchOptions options;
+  options.cpu_threads = 2;
+  options.cpu_simd = true;
+  options.cpu_per_pair_seconds = 5e-6;
+  cpu::CpuBatchAligner aligner(options);
+  const align::BatchResult result = aligner.run(batch, AlignmentScope::kFull);
+
+  const SimdLevel level = aligner.simd_level();
+  const cpu::simd::SpeedupModel model = cpu::simd::model_sample(
+      batch, options.penalties, AlignmentScope::kFull, {}, level);
+  const double n = static_cast<double>(batch.size());
+  const double t1 = options.cpu_per_pair_seconds * n / model.speedup;
+  const double expected = cpu::project_batch_seconds_traffic(
+      cpu::CpuSystemModel{}, t1, model.traffic_bytes_per_pair * n, 0);
+  EXPECT_EQ(result.timings.modeled_seconds, expected);
+  EXPECT_EQ(result.timings.cpu_modeled_seconds, expected);
+}
+
+// wall_seconds is the whole run() call; cpu_wall_seconds is the worker
+// loop alone. The override path still runs model_sample after the loop,
+// so the call must take strictly longer than the loop.
+TEST(SimdBackend, WallTimeCoversTheWholeRun) {
+  const seq::ReadPairSet batch = seq::fig1_dataset(200, 0.02, 29);
+  align::BatchOptions options;
+  options.cpu_per_pair_seconds = 5e-6;
+  const auto backend = align::backend_registry().create("cpu-simd", options);
+  const align::BatchResult result = backend->run(batch, AlignmentScope::kFull);
+  EXPECT_GT(result.timings.cpu_wall_seconds, 0.0);
+  EXPECT_GT(result.timings.wall_seconds, result.timings.cpu_wall_seconds);
+}
+
 }  // namespace
 }  // namespace pimwfa
