@@ -10,6 +10,29 @@
 
 namespace pimwfa::align {
 
+namespace {
+
+// Future adapter over the completion path (a shared promise keeps the
+// callback copyable); `keep_alive` lives as long as the completion does.
+std::future<BatchResult> submit_for_future(
+    BatchEngine& engine, seq::ReadPairSpan batch, AlignmentScope scope,
+    std::shared_ptr<const void> keep_alive) {
+  auto promise = std::make_shared<std::promise<BatchResult>>();
+  std::future<BatchResult> future = promise->get_future();
+  engine.submit(batch, scope,
+                [promise, keep_alive = std::move(keep_alive)](
+                    BatchResult result, std::exception_ptr error) {
+                  if (error) {
+                    promise->set_exception(std::move(error));
+                  } else {
+                    promise->set_value(std::move(result));
+                  }
+                });
+  return future;
+}
+
+}  // namespace
+
 BatchEngine::BatchEngine(BatchEngineOptions options)
     : BatchEngine(backend_registry().create(options.backend, options.batch),
                   options.max_in_flight, options.workers) {
@@ -27,49 +50,13 @@ BatchEngine::BatchEngine(std::unique_ptr<BatchAligner> backend,
 
 BatchEngine::~BatchEngine() = default;  // pool destructors drain the queues
 
-std::future<BatchResult> BatchEngine::submit(seq::ReadPairSpan batch,
-                                             AlignmentScope scope) {
+void BatchEngine::submit(seq::ReadPairSpan batch, AlignmentScope scope,
+                         Completion done) {
   // Validate the borrow at dispatch, before any engine state changes: a
   // span that is already dangling fails synchronously in the caller's
   // frame (LifetimeError under PIMWFA_CHECKED_VIEWS), with the counters
   // untouched.
   batch.check_valid();
-  // packaged_task is move-only; the shared_ptr wrapper makes the
-  // dispatcher task copyable (std::function requirement). The span is
-  // captured by value - the caller's storage outlives the future per the
-  // submit contract - so no base is copied on the way in.
-  auto task = std::make_shared<std::packaged_task<BatchResult()>>(
-      [this, batch, scope]() {
-        // Re-validate at task start: the async gap between dispatch and
-        // execution is exactly where the borrow goes stale. A violation
-        // surfaces as LifetimeError through the future instead of the
-        // backend reading freed memory.
-        batch.check_valid();
-        BatchResult result = backend_->run(batch, scope, workers_.get());
-        return result;
-      });
-  std::future<BatchResult> future = task->get_future();
-  enqueue(std::move(task));
-  return future;
-}
-
-std::future<BatchResult> BatchEngine::submit(seq::ReadPairSet&& batch,
-                                             AlignmentScope scope) {
-  // The set is moved (not copied) into shared ownership that the task
-  // keeps alive until it has run; the backend still sees a view.
-  auto owned = std::make_shared<seq::ReadPairSet>(std::move(batch));
-  auto task = std::make_shared<std::packaged_task<BatchResult()>>(
-      [this, owned, scope]() {
-        BatchResult result = backend_->run(*owned, scope, workers_.get());
-        return result;
-      });
-  std::future<BatchResult> future = task->get_future();
-  enqueue(std::move(task));
-  return future;
-}
-
-void BatchEngine::enqueue(
-    std::shared_ptr<std::packaged_task<BatchResult()>> task) {
   // Counter discipline: both counters move together, and a dispatcher
   // that refuses the task (stopped pool) rolls them back before the
   // exception escapes - otherwise in_flight_ would read nonzero forever
@@ -77,13 +64,30 @@ void BatchEngine::enqueue(
   // because the task's completion decrement may run on a worker thread
   // the instant submit() returns.
   // Relaxed: the counters are observability-only (see the header note);
-  // the dispatcher hand-off and the future provide all the ordering the
-  // batch itself needs.
+  // the dispatcher hand-off and the completion provide all the ordering
+  // the batch itself needs.
   submitted_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   try {
-    dispatcher_->submit([this, task = std::move(task)] {
-      (*task)();
+    // The span is captured by value - the caller's storage outlives the
+    // completion per the submit contract - so no base is copied on the way
+    // in. noexcept: a throwing completion terminates, never skipping the
+    // decrement.
+    dispatcher_->submit([this, batch, scope,
+                         done = std::move(done)]() noexcept {
+      BatchResult result;
+      std::exception_ptr error;
+      try {
+        // Re-validate at task start: the async gap between dispatch and
+        // execution is exactly where the borrow goes stale. A violation
+        // reaches `done` as LifetimeError instead of the backend reading
+        // freed memory.
+        batch.check_valid();
+        result = backend_->run(batch, scope, workers_.get());
+      } catch (...) {
+        error = std::current_exception();
+      }
+      done(std::move(result), std::move(error));
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
     });
   } catch (...) {
@@ -91,6 +95,20 @@ void BatchEngine::enqueue(
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     throw;
   }
+}
+
+std::future<BatchResult> BatchEngine::submit(seq::ReadPairSpan batch,
+                                             AlignmentScope scope) {
+  return submit_for_future(*this, batch, scope, nullptr);
+}
+
+std::future<BatchResult> BatchEngine::submit(seq::ReadPairSet&& batch,
+                                             AlignmentScope scope) {
+  // The set is moved (not copied) into shared ownership that the
+  // completion keeps alive until the batch has run; the backend still
+  // sees a view.
+  const auto owned = std::make_shared<seq::ReadPairSet>(std::move(batch));
+  return submit_for_future(*this, seq::ReadPairSpan(*owned), scope, owned);
 }
 
 BatchResult BatchEngine::run_sharded(seq::ReadPairSpan batch,

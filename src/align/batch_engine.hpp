@@ -5,18 +5,21 @@
 // worker pool handed to every BatchAligner::run call, so per-batch pool
 // construction - what the CPU baseline and the PIM simulator used to pay
 // on every align_batch - happens once per engine instead. submit() hands
-// a batch to the dispatcher and returns a future immediately; up to
-// max_in_flight batches execute concurrently against the (thread-safe)
-// backend. run_sharded() demonstrates the read-mapper-shaped consumer:
-// split one large batch into shards, keep them all in flight, and merge
-// the per-shard results back in input order.
+// a batch to the dispatcher and returns immediately; up to max_in_flight
+// batches execute concurrently against the (thread-safe) backend, each
+// ending in the caller's completion (the future overloads adapt it).
+// run_sharded() demonstrates the read-mapper-shaped consumer: split one
+// large batch into shards, keep them all in flight, and merge the
+// per-shard results back in input order.
 //
 // Lifecycle: construct (backend resolved through the registry by name) ->
 // submit()/run_sharded() freely from any thread -> wait_idle() or let the
-// destructor drain in-flight batches.
+// destructor drain in-flight batches (running their completions).
 #pragma once
 
 #include <atomic>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -49,29 +52,39 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  // Enqueue a batch view for asynchronous alignment; the future carries
-  // the backend's BatchResult (or its exception). Zero-copy: the caller's
-  // pair storage must stay alive and unmodified until the future
-  // resolves. Because that borrow outlives the call, it must be explicit:
-  // an owning lvalue set does not convert silently (see the deleted
-  // overload) - write submit(seq::ReadPairSpan(set), ...) to borrow, or
-  // submit(std::move(set), ...) to hand over ownership.
+  // Runs exactly once per batch, on the dispatcher thread that ran it and
+  // before in_flight() drops: with the result and a null error, or with an
+  // empty result and the batch's exception (a backend error, or the
+  // task-start LifetimeError below). It is called from a noexcept frame,
+  // so a throwing completion terminates instead of wedging in_flight().
+  using Completion = std::function<void(BatchResult, std::exception_ptr)>;
+
+  // Enqueue a batch view for asynchronous alignment; `done` receives the
+  // outcome. Zero-copy: the caller's pair storage must stay alive and
+  // unmodified until `done` has run. Because that borrow outlives the call,
+  // it must be explicit: an owning lvalue set does not convert silently (see
+  // the deleted overloads) - write submit(seq::ReadPairSpan(set), ...) to
+  // borrow, or submit(std::move(set), ...) to hand over ownership.
   //
   // Under PIMWFA_CHECKED_VIEWS the borrow is enforced: the span is
   // validated at dispatch (an already-dangling span throws LifetimeError
   // here, synchronously, with the counters untouched) and again at task
-  // start (a borrow that went stale in the async gap surfaces as
-  // LifetimeError through the future instead of a use-after-free in the
-  // backend).
+  // start (a borrow that went stale in the async gap reaches `done` as
+  // LifetimeError instead of a use-after-free in the backend). When
+  // submit() throws, `done` never runs.
+  void submit(seq::ReadPairSpan batch, AlignmentScope scope, Completion done);
+  // Adapter: the future carries what `done` would receive.
   std::future<BatchResult> submit(seq::ReadPairSpan batch,
                                   AlignmentScope scope);
-  // Owning overload: moves the set into the in-flight task (no base is
-  // copied), so the caller may drop its handle immediately.
+  // Owning overload: moves the set into the batch's completion (no base
+  // is copied), so the caller may drop its handle immediately.
   std::future<BatchResult> submit(seq::ReadPairSet&& batch,
                                   AlignmentScope scope);
   // Deleted: an lvalue ReadPairSet would silently become a borrow that
-  // must outlive the future - too easy to dangle. Opt in explicitly with
+  // must outlive the batch - too easy to dangle. Opt in explicitly with
   // ReadPairSpan(set) or hand the set over with std::move(set).
+  void submit(const seq::ReadPairSet& batch, AlignmentScope scope,
+              Completion done) = delete;
   std::future<BatchResult> submit(const seq::ReadPairSet& batch,
                                   AlignmentScope scope) = delete;
 
@@ -98,7 +111,7 @@ class BatchEngine {
   // Batches submitted but not yet completed. Observability counters, not
   // synchronization: they are updated and read with relaxed ordering (a
   // reader learns the count, never "the batch's results are visible").
-  // Completion is published by the future / wait_idle(), not by these.
+  // Completion is published by the completion / wait_idle(), not by these.
   usize in_flight() const noexcept {
     return in_flight_.load(std::memory_order_relaxed);
   }
@@ -110,25 +123,20 @@ class BatchEngine {
   std::string backend_name() const { return backend_->name(); }
 
  private:
-  // Shared tail of both submit overloads: moves the counters and hands
-  // the task to the dispatcher, rolling the counters back when the
-  // dispatcher refuses the task (exception safety of submitted_ /
-  // in_flight_).
-  void enqueue(std::shared_ptr<std::packaged_task<BatchResult()>> task);
-
   std::unique_ptr<BatchAligner> backend_;
   // Nonzero when the registry-constructed backend models virtual batches
   // (unknowable for injected backends); run_sharded refuses those.
   usize backend_virtual_pairs_ = 0;
-  // Declaration order doubles as teardown order: the dispatcher (whose
-  // tasks use the worker pool) must be destroyed before the workers.
-  std::unique_ptr<ThreadPool> workers_;
-  std::unique_ptr<ThreadPool> dispatcher_;
   // Relaxed atomics (see in_flight()/submitted()): incremented together
-  // in enqueue() before the dispatcher hand-off, decremented by the task
-  // on completion - possibly before submit() even returns.
+  // in submit() before the dispatcher hand-off, decremented by the task
+  // after its completion ran - possibly before submit() even returns.
   std::atomic<usize> in_flight_{0};
   std::atomic<usize> submitted_{0};
+  // Declaration order doubles as teardown order, so the pools go first:
+  // the dispatcher's destructor runs the tasks still queued, and those
+  // use the worker pool, the backend and the counters above.
+  std::unique_ptr<ThreadPool> workers_;
+  std::unique_ptr<ThreadPool> dispatcher_;
 };
 
 }  // namespace pimwfa::align

@@ -26,6 +26,16 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+// Requests are slices of their batch's results, so the registry-built
+// backend must materialize every pair it is given.
+const BatchEngineOptions& materializing(const BatchEngineOptions& engine) {
+  PIMWFA_ARG_CHECK(engine.batch.virtual_pairs == 0,
+                   "AlignService needs engine.batch.virtual_pairs == 0");
+  PIMWFA_ARG_CHECK(engine.batch.pim_simulate_dpus == 0,
+                   "AlignService needs engine.batch.pim_simulate_dpus == 0");
+  return engine;
+}
+
 }  // namespace
 
 void ServiceOptions::validate() const {
@@ -46,7 +56,7 @@ bool RequestHandle::cancel() noexcept {
 
 AlignService::AlignService(ServiceOptions options)
     : options_(std::move(options)),
-      engine_(std::make_unique<BatchEngine>(options_.engine)) {
+      engine_(std::make_unique<BatchEngine>(materializing(options_.engine))) {
   start();
 }
 
@@ -71,7 +81,6 @@ void AlignService::start() {
     for (usize i = 0; i < arena_count; ++i) free_arenas_.push_back(i);
   }
   batcher_ = std::thread([this] { batcher_loop(); });
-  completer_ = std::thread([this] { completer_loop(); });
 }
 
 AlignService::~AlignService() {
@@ -81,12 +90,11 @@ AlignService::~AlignService() {
   }
   work_cv_.notify_all();
   admission_cv_.notify_all();
-  // The batcher flushes the forming batch, drains pending_, then sets
-  // batcher_done_; the completer exits once the in-flight queue drains.
+  // The batcher flushes the forming batch and dispatches everything
+  // admitted before it exits; the batch completions touch this service's
+  // members, so every one of them must have run before those go.
   batcher_.join();
-  completer_.join();
-  // engine_ destruction drains anything still executing (nothing should
-  // be: the completer consumed every submitted batch's future).
+  engine_->wait_idle();
 }
 
 std::shared_ptr<detail::ServiceRequest> AlignService::make_request(
@@ -271,38 +279,27 @@ void AlignService::dispatch(MutexLock& lock,
   peak_resident_pairs_ = std::max(peak_resident_pairs_, resident_pairs_);
   ++batches_;
 
-  detail::InFlightBatch batch;
-  batch.arena = arena_idx;
-  batch.pairs = offset;
-  batch.shares = std::move(live);
+  auto batch = std::make_shared<const detail::InFlightBatch>(
+      detail::InFlightBatch{arena_idx, offset, std::move(live)});
 
   // The span is taken under the lock, after the arena is fully built
   // (every add() bumped its generation) - it reads the guarded arena's
-  // storage pointer. Only the engine hand-off itself runs unlocked: it
-  // can block on dispatcher capacity, and admission/completion must keep
-  // flowing meanwhile. The batch owns the arena until the completer
-  // recycles it, so nothing mutates what the span points at.
+  // storage pointer. Only the engine hand-off itself runs unlocked, so
+  // admission and completions keep flowing meanwhile. The batch owns the
+  // arena until complete() recycles it, so nothing mutates what the span
+  // points at. A refused hand-off completes the batch here instead.
   const seq::ReadPairSpan arena_span{arena};
-  std::future<BatchResult> future;
-  std::exception_ptr submit_error;
   lock.unlocked([&] {
     try {
-      future = engine_->submit(arena_span, options_.scope);
+      engine_->submit(arena_span, options_.scope,
+                      [this, batch](BatchResult result,
+                                    std::exception_ptr error) {
+                        complete(*batch, result, error);
+                      });
     } catch (...) {
-      submit_error = std::current_exception();
+      complete(*batch, BatchResult{}, std::current_exception());
     }
   });
-
-  if (submit_error) {
-    for (auto& share : batch.shares) {
-      finish_exceptionally(*share.request, submit_error, &failed_);
-    }
-    recycle_arena(arena_idx, batch.pairs);
-    return;
-  }
-  batch.future = std::move(future);
-  inflight_.push_back(std::move(batch));
-  inflight_cv_.notify_one();
 }
 
 void AlignService::batcher_loop() {
@@ -354,83 +351,57 @@ void AlignService::batcher_loop() {
     dispatch(lock, forming);
     forming_pairs = 0;
   }
-  batcher_done_ = true;
-  inflight_cv_.notify_all();
 }
 
-void AlignService::completer_loop() {
+void AlignService::complete(const detail::InFlightBatch& batch,
+                            const BatchResult& result,
+                            std::exception_ptr error) {
+  const Clock::time_point now = Clock::now();
   MutexLock lock(mutex_);
-  while (true) {
-    inflight_cv_.wait(lock, [this] {
-      mutex_.assert_held();  // predicate runs under CondVar::wait's lock
-      return !inflight_.empty() || batcher_done_;
-    });
-    if (inflight_.empty()) {
-      if (batcher_done_) return;
+  for (auto& share : batch.shares) {
+    detail::ServiceRequest& request = *share.request;
+    if (request.cancelled.load(std::memory_order_acquire)) {
+      finish_exceptionally(
+          request,
+          std::make_exception_ptr(RequestCancelled(
+              "request cancelled before its batch resolved")),
+          &cancelled_);
       continue;
     }
-    detail::InFlightBatch batch = std::move(inflight_.front());
-    inflight_.pop_front();
-
-    // Block on the batch outside the lock: admission and batch formation
-    // keep running while this batch executes.
-    BatchResult result;
-    std::exception_ptr error;
-    Clock::time_point now;
-    lock.unlocked([&] {
-      try {
-        result = batch.future.get();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      now = Clock::now();
-    });
-
-    for (auto& share : batch.shares) {
-      detail::ServiceRequest& request = *share.request;
-      if (request.cancelled.load(std::memory_order_acquire)) {
-        finish_exceptionally(
-            request,
-            std::make_exception_ptr(RequestCancelled(
-                "request cancelled before its batch resolved")),
-            &cancelled_);
-        continue;
-      }
-      if (error) {
-        // The batch failed as a unit; every share sees the same error.
-        finish_exceptionally(request, error, &failed_);
-        continue;
-      }
-      if (request.deadline != kNoDeadline && now >= request.deadline) {
-        finish_exceptionally(
-            request,
-            std::make_exception_ptr(DeadlineExpired(
-                "request deadline expired before its results "
-                "were delivered")),
-            &expired_);
-        continue;
-      }
-      if (result.results.size() < share.offset + share.count) {
-        finish_exceptionally(
-            request,
-            std::make_exception_ptr(Error(
-                "backend materialized fewer results than the batch; the "
-                "service requires fully materialized backends")),
-            &failed_);
-        continue;
-      }
-      const auto begin = result.results.begin() +
-                         static_cast<std::ptrdiff_t>(share.offset);
-      std::vector<AlignmentResult> slice(
-          begin, begin + static_cast<std::ptrdiff_t>(share.count));
-      request.resolved.store(true, std::memory_order_release);
-      request.promise.set_value(std::move(slice));
-      ++completed_;
-      latency_ms_.add(ms_between(request.enqueue_time, now));
-      release_counters(request);
+    if (error) {
+      // The batch failed as a unit; every share sees the same error.
+      finish_exceptionally(request, error, &failed_);
+      continue;
     }
-    recycle_arena(batch.arena, batch.pairs);
+    if (request.deadline != kNoDeadline && now >= request.deadline) {
+      finish_exceptionally(
+          request,
+          std::make_exception_ptr(DeadlineExpired(
+              "request deadline expired before its results "
+              "were delivered")),
+          &expired_);
+      continue;
+    }
+    if (result.results.size() < share.offset + share.count) {
+      finish_exceptionally(
+          request,
+          std::make_exception_ptr(Error(
+              "backend materialized fewer results than the batch; the "
+              "service requires fully materialized backends")),
+          &failed_);
+      continue;
+    }
+    const auto begin = result.results.begin() +
+                       static_cast<std::ptrdiff_t>(share.offset);
+    std::vector<AlignmentResult> slice(
+        begin, begin + static_cast<std::ptrdiff_t>(share.count));
+    request.resolved.store(true, std::memory_order_release);
+    request.promise.set_value(std::move(slice));
+    ++completed_;
+    latency_ms_.add(ms_between(request.enqueue_time, now));
+    release_counters(request);
   }
+  recycle_arena(batch.arena, batch.pairs);
 }
 
 }  // namespace pimwfa::align

@@ -10,14 +10,15 @@
 //   ingest --> [admission watermark] --> pending queue
 //          --> [batcher thread] forms batches by size/latency watermark,
 //              fills a recycled ReadPairSet arena, submits to the engine
-//          --> [completer thread] resolves per-request futures from the
-//              batch result, recycles the arena
+//          --> [engine dispatcher thread] runs the batch; its completion
+//              resolves the per-request futures (in batch-completion
+//              order, not dispatch order) and recycles the arena
 //
 // Memory stays bounded end to end: admission blocks (submit_wait) or
 // refuses (try_submit) above a high-watermark of admitted-but-unfinished
 // pairs/bases, and batch storage lives in a fixed ring of generation-
 // counted ReadPairSet arenas - an arena is cleared and reused only after
-// its batch future resolved, and under PIMWFA_CHECKED_VIEWS any recycle
+// its batch's completion ran, and under PIMWFA_CHECKED_VIEWS any recycle
 // that raced a live borrow surfaces as LifetimeError instead of a
 // use-after-free.
 //
@@ -112,8 +113,8 @@ namespace detail {
 
 // One admitted request. The pairs are owned here until the batcher moves
 // them into an arena; the promise is resolved exactly once, by whichever
-// of the batcher (swept dead), completer (batch resolved) or submit
-// error path reaches it first.
+// of the batcher (swept dead, or its batch refused by the engine) or the
+// batch's completion reaches it first.
 struct ServiceRequest {
   std::vector<seq::ReadPair> pairs;
   usize pair_count = 0;
@@ -134,7 +135,6 @@ struct BatchShare {
 };
 
 struct InFlightBatch {
-  std::future<BatchResult> future;
   usize arena = 0;  // arenas_ index holding this batch's pairs
   usize pairs = 0;
   std::vector<BatchShare> shares;
@@ -169,13 +169,15 @@ class RequestHandle {
 
 class AlignService {
  public:
-  // Backend resolved through the registry by options.engine.backend.
+  // Backend resolved through the registry by options.engine.backend from
+  // options.engine.batch, which must materialize every pair: a nonzero
+  // virtual_pairs or pim_simulate_dpus throws InvalidArgument.
   explicit AlignService(ServiceOptions options);
   // Injects a caller-built backend (tests, custom backends);
-  // options.engine.backend is ignored.
+  // options.engine.backend and options.engine.batch are ignored.
   AlignService(std::unique_ptr<BatchAligner> backend, ServiceOptions options);
   // Flushes the forming batch, resolves every admitted request, then
-  // tears the threads and engine down.
+  // tears the batcher and engine down.
   ~AlignService();
 
   AlignService(const AlignService&) = delete;
@@ -211,7 +213,6 @@ class AlignService {
  private:
   void start() PIMWFA_EXCLUDES(mutex_);
   void batcher_loop() PIMWFA_EXCLUDES(mutex_);
-  void completer_loop() PIMWFA_EXCLUDES(mutex_);
 
   std::shared_ptr<detail::ServiceRequest> make_request(
       std::vector<seq::ReadPair> pairs,
@@ -227,10 +228,14 @@ class AlignService {
   void release_counters(detail::ServiceRequest& request)
       PIMWFA_REQUIRES(mutex_);
   void recycle_arena(usize arena, usize pairs) PIMWFA_REQUIRES(mutex_);
-  // Fills an arena from `forming`, submits it, queues the in-flight
-  // record; drops (and reacquires) `lock` around the engine hand-off.
+  // Fills an arena from `forming` and submits it; complete() resolves it.
+  // Drops (and reacquires) `lock` around the engine hand-off.
   void dispatch(MutexLock& lock, std::vector<detail::BatchShare>& forming)
       PIMWFA_REQUIRES(mutex_);
+  // Resolves every share of `batch` from its outcome, then recycles its
+  // arena. Runs on the dispatcher thread that ran the batch.
+  void complete(const detail::InFlightBatch& batch, const BatchResult& result,
+                std::exception_ptr error) PIMWFA_EXCLUDES(mutex_);
 
   ServiceOptions options_;
   std::unique_ptr<BatchEngine> engine_;
@@ -239,12 +244,10 @@ class AlignService {
   CondVar work_cv_;       // batcher <- admission/flush/stop
   CondVar admission_cv_;  // producers <- counter release
   CondVar arena_cv_;      // batcher <- arena recycled
-  CondVar inflight_cv_;   // completer <- batch dispatched
   CondVar drain_cv_;      // drain() <- last resolution
 
   std::deque<std::shared_ptr<detail::ServiceRequest>> pending_
       PIMWFA_GUARDED_BY(mutex_);
-  std::deque<detail::InFlightBatch> inflight_ PIMWFA_GUARDED_BY(mutex_);
   // The arenas_ *vector* never resizes after start(); each element is
   // handed to exactly one in-flight batch at a time by the free-list
   // protocol below, and the engine reads its pairs through spans outside
@@ -255,7 +258,6 @@ class AlignService {
 
   bool stop_ PIMWFA_GUARDED_BY(mutex_) = false;
   bool flush_requested_ PIMWFA_GUARDED_BY(mutex_) = false;
-  bool batcher_done_ PIMWFA_GUARDED_BY(mutex_) = false;
 
   usize queued_pairs_ PIMWFA_GUARDED_BY(mutex_) = 0;  // admitted, unresolved
   u64 queued_bases_ PIMWFA_GUARDED_BY(mutex_) = 0;
@@ -276,7 +278,6 @@ class AlignService {
   SampleSet latency_ms_ PIMWFA_GUARDED_BY(mutex_);
 
   std::thread batcher_;
-  std::thread completer_;
 };
 
 }  // namespace pimwfa::align

@@ -180,14 +180,4 @@ ReadPairSet ReadPairSet::sample_every(usize stride) const {
   return out;
 }
 
-ReadPairSet ReadPairSet::slice(usize begin, usize end) const {
-  // Bounds checking and copy accounting live in the span layer; slice is
-  // the owning wrapper that also carries the provenance over.
-  ReadPairSet out = ReadPairSpan(*this).subspan(begin, end).to_owned();
-  out.seed = seed;
-  out.error_rate = error_rate;
-  out.nominal_read_length = nominal_read_length;
-  return out;
-}
-
 }  // namespace pimwfa::seq

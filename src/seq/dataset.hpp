@@ -106,15 +106,6 @@ class ReadPairSet {
   // bench runs; preserves the score distribution of a uniform workload).
   ReadPairSet sample_every(usize stride) const;
 
-  // The contiguous sub-batch [begin, end) as a new owning set. This
-  // deep-copies O(bases) and exists for callers that need an independent
-  // lifetime (tests, persistence); the batch stack itself carves
-  // sub-batches with seq::ReadPairSpan::subspan, which is O(1) and
-  // copy-free. Throws InvalidArgument when begin > end or end > size()
-  // (bounds misuse is never silently clamped). Copied bases are accounted
-  // in seq::bases_copied_counter().
-  ReadPairSet slice(usize begin, usize end) const;
-
   bool operator==(const ReadPairSet& other) const noexcept {
     return pairs_ == other.pairs_;
   }

@@ -35,7 +35,7 @@
 namespace pimwfa::seq {
 
 // Process-wide count of bases deep-copied by the owning carve APIs
-// (ReadPairSet::slice / sample_every, ReadPairSpan::to_owned). The
+// (ReadPairSet::sample_every, ReadPairSpan::to_owned). The
 // dispatchers snapshot it around a run and report the delta as
 // BatchTimings::bases_copied; the CI perf gate pins that delta to zero so
 // an O(total bases) copy cannot silently return to the hot path.
@@ -114,8 +114,7 @@ class ReadPairSpan {
   // Deep-copy the viewed pairs into an owning set (tests, persistence).
   // Accounts the copied bases in bases_copied_counter(). A span does not
   // know its source set's generation provenance (seed/error_rate/
-  // nominal_read_length), so the copy carries none; use
-  // ReadPairSet::slice when that metadata must survive.
+  // nominal_read_length), so the copy carries none.
   ReadPairSet to_owned() const;
 
   // Validate the borrow now; throws LifetimeError when the source set has

@@ -9,11 +9,13 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "align/batch_engine.hpp"
@@ -272,7 +274,8 @@ TEST(Hybrid, PaperShapeModeledTimeBeatsBothBackendsAlone) {
   const auto pim_alone =
       align::backend_registry().create("pim", pim_options);
   const BatchResult reference =
-      pim_alone->run(batch.slice(0, std::min(batch.size(), plan.pim_pairs)),
+      pim_alone->run(seq::ReadPairSpan(batch).subspan(
+                         0, std::min(batch.size(), plan.pim_pairs)),
                      AlignmentScope::kFull);
   ASSERT_GT(result.results.size(), 0u);
   ASSERT_LE(result.results.size(), reference.results.size());
@@ -516,8 +519,85 @@ TEST(BatchEngine, BackendExceptionsPropagateThroughTheFuture) {
   align::BatchEngine engine(std::make_unique<ThrowingBackend>(), 1, 0);
   auto future = engine.submit(small_batch(4), AlignmentScope::kScoreOnly);
   EXPECT_THROW(future.get(), InvalidArgument);
+
+  // The completion path delivers the same exception, with an empty result.
+  const seq::ReadPairSet batch = small_batch(4);
+  std::promise<std::pair<BatchResult, std::exception_ptr>> outcome;
+  engine.submit(seq::ReadPairSpan(batch), AlignmentScope::kScoreOnly,
+                [&outcome](BatchResult result, std::exception_ptr error) {
+                  outcome.set_value({std::move(result), error});
+                });
+  const auto [result, error] = outcome.get_future().get();
+  EXPECT_TRUE(result.results.empty());
+  EXPECT_TRUE(result.backend.empty());
+  ASSERT_TRUE(error);
+  EXPECT_THROW(std::rethrow_exception(error), InvalidArgument);
   engine.wait_idle();
   EXPECT_EQ(engine.in_flight(), 0u);
+}
+
+TEST(BatchEngine, CompletionRunsOnceOnADispatcherThreadWhileCounted) {
+  constexpr usize kBatches = 8;
+  // A one-batch barrier never blocks: an instant, deterministic backend.
+  align::BatchEngine engine(std::make_unique<BarrierBackend>(1),
+                            /*max_in_flight=*/2, /*workers=*/0);
+  const seq::ReadPairSet batch = small_batch(6);
+  std::mutex mutex;
+  std::vector<usize> calls(kBatches, 0);
+  std::vector<std::thread::id> threads;
+  std::vector<usize> in_flight_seen;
+  for (usize b = 0; b < kBatches; ++b) {
+    engine.submit(seq::ReadPairSpan(batch), AlignmentScope::kScoreOnly,
+                  [&, b](BatchResult result, std::exception_ptr error) {
+                    EXPECT_FALSE(error);
+                    EXPECT_EQ(result.results.size(), batch.size());
+                    std::lock_guard lock(mutex);
+                    ++calls[b];
+                    threads.push_back(std::this_thread::get_id());
+                    in_flight_seen.push_back(engine.in_flight());
+                  });
+  }
+  engine.wait_idle();
+  EXPECT_EQ(calls, std::vector<usize>(kBatches, 1));
+  ASSERT_EQ(threads.size(), kBatches);
+  for (usize i = 0; i < kBatches; ++i) {
+    EXPECT_NE(threads[i], std::this_thread::get_id());
+    EXPECT_GE(in_flight_seen[i], 1u) << "the batch was no longer counted";
+  }
+  EXPECT_EQ(engine.submitted(), kBatches);
+  EXPECT_EQ(engine.in_flight(), 0u);
+}
+
+// Regression: the counters were declared after the pools, so the
+// dispatcher's destructor ran the still-queued tasks against counters
+// already destroyed. Teardown with queued batches must run every
+// completion before the destructor returns.
+TEST(BatchEngine, DestructorRunsTheCompletionOfEveryQueuedBatch) {
+  constexpr usize kBatches = 4;
+  const seq::ReadPairSet batch = small_batch(4);
+  std::atomic<usize> completions{0};
+  std::thread opener;
+  {
+    auto backend = std::make_unique<testing::GateBackend>();
+    testing::GateBackend& gate = *backend;
+    align::BatchEngine engine(std::move(backend), /*max_in_flight=*/1,
+                              /*workers=*/0);
+    for (usize b = 0; b < kBatches; ++b) {
+      engine.submit(seq::ReadPairSpan(batch), AlignmentScope::kScoreOnly,
+                    [&completions](BatchResult, std::exception_ptr) {
+                      completions.fetch_add(1);
+                    });
+    }
+    gate.wait_entered(1);  // one batch runs, the rest wait in the queue
+    // The backend lives until the dispatcher drained, so the gate can be
+    // opened from another thread while this one is in the destructor.
+    opener = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      gate.open();
+    });
+  }
+  opener.join();
+  EXPECT_EQ(completions.load(), kBatches);
 }
 
 // --- options validation ---------------------------------------------------

@@ -2,8 +2,9 @@
 //
 // Every test here hammers one of the shared structures of the library
 // from several threads at once: BatchEngine's dispatcher counters and
-// shared worker pool, AlignService's admission/batcher/completer protocol
-// against its fixed arena ring, the hybrid dispatcher's calibration
+// shared worker pool, AlignService's admission/batcher protocol and the
+// batch completions that run on the engine's dispatcher threads against
+// its fixed arena ring, the hybrid dispatcher's calibration
 // cache, the paged MRAM's lock-free page installation and the
 // PimBatchAligner's pool of simulated systems. The
 // assertions are deliberately about *totals and determinism*, not

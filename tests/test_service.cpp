@@ -1,14 +1,14 @@
 // Streaming AlignService + chunked record readers: bit-identity of
 // chunked vs whole-file parsing, request/batch formation, admission
-// backpressure, deadline/cancellation semantics, and arena recycling
-// under PIMWFA_CHECKED_VIEWS.
+// backpressure, deadline/cancellation semantics, completion-order
+// resolution, and arena recycling under PIMWFA_CHECKED_VIEWS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <future>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +29,7 @@ using align::BatchResult;
 using align::RequestHandle;
 using align::ServiceOptions;
 using align::ServiceStats;
+using testing::GateBackend;
 
 // --- chunked readers ------------------------------------------------------
 
@@ -141,47 +142,6 @@ class ScoreBackend final : public align::BatchAligner {
   std::string name() const override { return "score"; }
 };
 
-// Backend whose run() blocks until opened - holds batches (and their
-// arenas and queue accounting) in flight so backpressure is observable.
-class GateBackend final : public align::BatchAligner {
- public:
-  BatchResult run(seq::ReadPairSpan batch, AlignmentScope,
-                  ThreadPool*) override {
-    {
-      std::unique_lock lock(mutex_);
-      ++entered_;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return open_; });
-    }
-    BatchResult out;
-    out.backend = name();
-    out.results.resize(batch.size());
-    for (usize i = 0; i < batch.size(); ++i) {
-      out.results[i].score = static_cast<i64>(batch.pattern(i).size());
-    }
-    out.timings.pairs = batch.size();
-    out.timings.materialized = batch.size();
-    return out;
-  }
-  std::string name() const override { return "gate"; }
-
-  void open() {
-    std::lock_guard lock(mutex_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  void wait_entered(usize n) {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return entered_ >= n; });
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool open_ = false;
-  usize entered_ = 0;
-};
-
 std::vector<seq::ReadPair> n_pairs(usize n, usize length = 8) {
   std::vector<seq::ReadPair> pairs;
   for (usize i = 0; i < n; ++i) {
@@ -234,8 +194,8 @@ TEST(AlignService, StreamedResultsMatchDirectBackendRun) {
           .create("cpu", options.engine.batch)
           ->run(workload, AlignmentScope::kFull);
 
-  // Requests resolve FIFO, so concatenating per-request results must
-  // reproduce the whole-set run exactly.
+  // Each request resolves with its own pairs' results in order, so
+  // concatenating per-request results must reproduce the whole-set run.
   usize offset = 0;
   for (auto& handle : handles) {
     for (const align::AlignmentResult& result : handle.get()) {
@@ -362,6 +322,44 @@ TEST(AlignService, CancelWhileInFlightResolvesExceptionally) {
   EXPECT_EQ(service.stats().cancelled, 1u);
 }
 
+// Requests resolve in batch-completion order: a batch that finishes early
+// must not wait behind an earlier batch the backend still holds.
+TEST(AlignService, LaterBatchResolvesWhileAnEarlierOneIsHeld) {
+  auto backend = std::make_unique<GateBackend>(
+      [](seq::ReadPairSpan batch) { return batch.pattern(0).front() == 'C'; });
+  GateBackend& gate = *backend;
+  ServiceOptions options = manual_flush_options();
+  options.engine.max_in_flight = 2;
+  options.engine.workers = 0;
+  AlignService service(std::move(backend), options);
+  RequestHandle held;
+  RequestHandle later;
+  std::future<std::vector<align::AlignmentResult>> resolved;
+  // Declared last, so destroyed first: on every path out of the test the
+  // gate opens before anything waits on the held batch.
+  struct OpenOnExit {
+    GateBackend& gate;
+    ~OpenOnExit() { gate.open(); }
+  } open_on_exit{gate};
+
+  held = service.submit_wait({{"CCCC", "CCCC"}});
+  service.flush();
+  gate.wait_entered(1);  // the first batch is now held by the backend
+  later = service.submit_wait(n_pairs(2));
+  service.flush();
+
+  resolved = std::async(std::launch::async, [&later] { return later.get(); });
+  ASSERT_EQ(resolved.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready)
+      << "the later batch waited behind the held one";
+  EXPECT_EQ(resolved.get().size(), 2u);
+  EXPECT_EQ(service.stats().completed, 1u);
+
+  gate.open();
+  EXPECT_EQ(held.get().size(), 1u);
+  EXPECT_EQ(service.stats().completed, 2u);
+}
+
 TEST(AlignService, BackendErrorFailsEveryShareOfTheBatch) {
   class ThrowingBackend final : public align::BatchAligner {
    public:
@@ -378,6 +376,59 @@ TEST(AlignService, BackendErrorFailsEveryShareOfTheBatch) {
   EXPECT_THROW(a.get(), HardwareFault);
   EXPECT_THROW(b.get(), HardwareFault);
   EXPECT_EQ(service.stats().failed, 2u);
+}
+
+// A backend that materializes only a prefix of its batch fails exactly the
+// shares that reach past the prefix; the batch's arena still recycles.
+TEST(AlignService, UnderMaterializedBatchFailsTheSharesPastThePrefix) {
+  class PrefixBackend final : public align::BatchAligner {
+   public:
+    BatchResult run(seq::ReadPairSpan batch, AlignmentScope,
+                    ThreadPool*) override {
+      BatchResult out;
+      out.backend = name();
+      out.results.resize(std::min<usize>(batch.size(), 3));
+      for (usize i = 0; i < out.results.size(); ++i) {
+        out.results[i].score = static_cast<i64>(batch.pattern(i).size());
+      }
+      out.timings.pairs = batch.size();
+      out.timings.materialized = out.results.size();
+      return out;
+    }
+    std::string name() const override { return "prefix"; }
+  };
+  ServiceOptions options = manual_flush_options();
+  options.arenas = 1;  // the next batch can only reuse this batch's arena
+  AlignService service(std::make_unique<PrefixBackend>(), options);
+
+  RequestHandle inside = service.submit_wait(n_pairs(2, 5));  // results 0-1
+  RequestHandle straddling = service.submit_wait(n_pairs(2));  // 2-3
+  RequestHandle outside = service.submit_wait(n_pairs(2));     // 4-5
+  service.drain();
+  const auto results = inside.get();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[1].score, 5);
+  for (RequestHandle* failed : {&straddling, &outside}) {
+    try {
+      failed->get();
+      ADD_FAILURE() << "expected the share past the prefix to fail";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("materialized fewer results"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 2u);
+
+  RequestHandle next = service.submit_wait(n_pairs(3, 4));
+  service.drain();
+  EXPECT_EQ(next.get().size(), 3u);
+  stats = service.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.peak_resident_pairs, 6u);
 }
 
 TEST(AlignService, DrainResolvesEverythingAdmitted) {
@@ -412,6 +463,27 @@ TEST(AlignService, RejectsEmptyRequestsAndBadOptions) {
   bad.max_batch_pairs = 0;
   EXPECT_THROW(AlignService(std::make_unique<ScoreBackend>(), bad),
                InvalidArgument);
+
+  // A registry-built backend must materialize every pair: a virtual batch
+  // or a partially simulated PIM system would leave requests without
+  // results.
+  ServiceOptions virtual_batches;
+  virtual_batches.engine.backend = "pim";
+  virtual_batches.engine.batch.pim_dpus = 4;
+  ServiceOptions partial_simulation = virtual_batches;
+  virtual_batches.engine.batch.virtual_pairs = 1024;
+  partial_simulation.engine.batch.pim_simulate_dpus = 1;
+  for (const auto& [field, options] :
+       {std::pair{"virtual_pairs", virtual_batches},
+        std::pair{"pim_simulate_dpus", partial_simulation}}) {
+    try {
+      AlignService service_with_gaps(options);
+      ADD_FAILURE() << "expected InvalidArgument for " << field;
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // Arena-recycling stress: a small ring, concurrent producers, thousands

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -44,6 +47,53 @@ inline std::vector<std::pair<std::string, align::BatchOptions>> pim_variants(
           {"pim --packed", packed},
           {"pim --pipeline", pipelined}};
 }
+
+// Backend whose run() blocks until open() for every batch `holds` selects
+// (all of them by default) - holds batches (and their arenas and queue
+// accounting) in flight so backpressure, ordering and teardown are
+// observable. Scores each pair with its pattern length.
+class GateBackend final : public align::BatchAligner {
+ public:
+  explicit GateBackend(std::function<bool(seq::ReadPairSpan)> holds = {})
+      : holds_(std::move(holds)) {}
+
+  align::BatchResult run(seq::ReadPairSpan batch, align::AlignmentScope,
+                         ThreadPool*) override {
+    {
+      std::unique_lock lock(mutex_);
+      ++entered_;
+      cv_.notify_all();
+      if (!holds_ || holds_(batch)) cv_.wait(lock, [this] { return open_; });
+    }
+    align::BatchResult out;
+    out.backend = name();
+    out.results.resize(batch.size());
+    for (usize i = 0; i < batch.size(); ++i) {
+      out.results[i].score = static_cast<i64>(batch.pattern(i).size());
+    }
+    out.timings.pairs = batch.size();
+    out.timings.materialized = batch.size();
+    return out;
+  }
+  std::string name() const override { return "gate"; }
+
+  void open() {
+    std::lock_guard lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void wait_entered(usize n) {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return entered_ >= n; });
+  }
+
+ private:
+  const std::function<bool(seq::ReadPairSpan)> holds_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  usize entered_ = 0;
+};
 
 // Every PimTimings field of `a` equals `b`'s, bit for bit.
 inline void expect_same_timings(const pim::PimTimings& a,
