@@ -8,6 +8,7 @@
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/timer.hpp"
+#include "cpu/simd/simd.hpp"
 #include "pim/dpu_wfa_kernel.hpp"
 #include "pim/tiling.hpp"
 #include "seq/packed.hpp"
@@ -447,6 +448,13 @@ PimBatchAligner::PimBatchAligner(PimOptions options)
   PIMWFA_ARG_CHECK(options_.pipeline || options_.pipeline_chunks == 0,
                    "pipeline_chunks = " << options_.pipeline_chunks
                        << " needs pipelining on (--pipeline)");
+  PIMWFA_ARG_CHECK(
+      options_.tile_max_segment_bases == 0 ||
+          options_.tile_max_segment_bases >= TilingPlanner::kMinSegmentBases,
+      "tile_max_segment_bases = "
+          << options_.tile_max_segment_bases << " is below the tiling "
+          << "planner's minimum of " << TilingPlanner::kMinSegmentBases
+          << " bases (0 derives the bound from the WRAM share)");
 }
 
 PimBatchAligner::PimBatchAligner(const align::BatchOptions& batch)
@@ -587,25 +595,31 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
 
       // Plan the segments, then re-probe with the segment batch's real
       // geometry: extra records shrink the per-tasklet arena, so replan
-      // under the smaller budget until the plan is self-consistent.
+      // under the smaller budget until the plan is self-consistent. The
+      // planner expands its subproblems on `pool` with the kernels the
+      // cpu-simd backend dispatches to.
+      WallTimer plan_timer;
+      const wfa::WfaKernels& kernels =
+          cpu::simd::wfa_kernels(cpu::simd::active_level());
       TiledBatch tiled;
       u64 plan_budget = budget;
       for (int attempt = 0;; ++attempt) {
-        tiled.segments.clear();
-        tiled.pair_ranges.clear();
         TilingConfig config;
         config.penalties = options_.penalties;
         config.arena_budget_bytes = plan_budget;
         config.max_segment_bases = seg_bases;
         config.score_cap = options_.max_score;
-        TilingPlanner planner(config);
-        auto next = oversized.begin();
+        const std::vector<TileSegment> planned =
+            TilingPlanner(config, kernels).plan(batch, oversized, pool);
+        tiled.segments.clear();
+        tiled.pair_ranges.clear();
+        auto next = planned.begin();
         for (usize p = 0; p < batch.size(); ++p) {
           const usize first = tiled.segments.size();
-          if (next != oversized.end() && *next == p) {
-            ++next;
-            planner.plan_pair(p, batch.pattern(p), batch.text(p),
-                              tiled.segments);
+          if (next != planned.end() && next->pair == p) {
+            while (next != planned.end() && next->pair == p) {
+              tiled.segments.push_back(*next++);
+            }
           } else {
             TileSegment whole;
             whole.pair = p;
@@ -631,6 +645,7 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
                      "(last " << actual << " bytes per tasklet)");
         plan_budget = actual;
       }
+      const double plan_seconds = plan_timer.seconds();
 
       // The segments run as ordinary records, always as one chunk, and
       // stitch back into per-pair alignments.
@@ -647,6 +662,7 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
       tiled_run.records = tiled.segments.size();
       PimBatchResult out = run_chunks(tiled_run, pool);
       stitch_pairs(out, tiled, run.full);
+      out.timings.tile_plan_seconds = plan_seconds;
       return finish(std::move(out));
     }
   }

@@ -68,9 +68,11 @@ struct PimOptions {
   // Split pairs that exceed a tasklet's WRAM share (sequence buffers) or
   // per-tasklet MRAM arena (wavefront metadata) into breakpoint-delimited
   // segments planned host-side (pim/tiling.hpp), run the segments as
-  // ordinary records, and stitch the results back into one alignment -
-  // scores and CIGARs stay bit-identical to an untiled run. When off, an
-  // oversized pair raises Error naming the pair and the shortfall.
+  // ordinary records, and stitch the results back into one alignment. A
+  // tiled pair keeps the untiled optimal score; its CIGAR is verified
+  // co-optimal but, where optimal paths tie, may differ from an untiled
+  // run's. When off, an oversized pair raises Error naming the pair and
+  // the shortfall.
   bool tile_long_pairs = true;
   // Segment size bound in pattern+text bases (0 = derive from the per-
   // tasklet WRAM share). Pairs at or under the bound run untiled.
@@ -121,6 +123,9 @@ struct PimTimings {
   // --- long-pair tiling (zero for untiled runs) -------------------------
   usize tiled_pairs = 0;     // pairs that were split into >1 segment
   usize tile_segments = 0;   // segment records executed on the DPUs
+  // Host wall time spent planning this call's tiles. Measured, not
+  // modeled: it never enters total_seconds() or any modeled field.
+  double tile_plan_seconds = 0;
 
   // --- pipelined execution (chunks > 1; zero otherwise) ----------------
   usize chunks = 1;
@@ -148,15 +153,17 @@ class PimBatchAligner final : public align::BatchAligner {
   // Align the batch (a non-owning view; MRAM ingestion reads - and, in
   // packed mode, packs - straight from the viewed pairs, so carving a
   // sub-batch for this call never copies bases host-side). `pool`, if
-  // given, parallelizes the host-side simulation: independent DPUs in a
-  // one-chunk run, concurrent pipeline stages in pipelined mode (a
-  // simulator concern only; it does not affect modeled timing). Safe to
-  // call concurrently on distinct batches: each call takes a PimSystem of
-  // its own from this aligner's pool of idle systems (building one when
-  // all are busy) and hands it back when it returns, so the pool holds at
-  // most as many systems as calls ever ran at once. A reused system's
-  // stale MRAM/WRAM bytes are harmless: the DPU kernel and the result
-  // decoder read only bytes written earlier in the same call.
+  // given, runs the levels of the long-pair tiling planner - real host
+  // work, timed by tile_plan_seconds - and parallelizes the host-side
+  // simulation: independent DPUs in a one-chunk run, concurrent pipeline
+  // stages in pipelined mode. Neither affects results or modeled timing.
+  // Safe to call concurrently on distinct batches: each call takes a
+  // PimSystem of its own from this aligner's pool of idle systems
+  // (building one when all are busy) and hands it back when it returns,
+  // so the pool holds at most as many systems as calls ever ran at once.
+  // A reused system's stale MRAM/WRAM bytes are harmless: the DPU kernel
+  // and the result decoder read only bytes written earlier in the same
+  // call.
   PimBatchResult align_batch(seq::ReadPairSpan batch,
                              align::AlignmentScope scope,
                              ThreadPool* pool = nullptr);

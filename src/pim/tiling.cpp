@@ -1,31 +1,54 @@
 #include "pim/tiling.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <string>
 
 #include "common/check.hpp"
-#include "pim/layout.hpp"
 
 namespace pimwfa::pim {
 
 using Component = wfa::WfaAligner::Component;
 
+// An entry of the planning frontier: an open subproblem - the views of a
+// pair's pattern [v0, v1) and text [h0, h1), its seam components and its
+// score cap - or, once closed, a finished segment.
+struct TilingPlanner::Node {
+  TileSegment segment;  // span_score is set when the node closes
+  std::string_view pattern, text;
+  i64 score_cap = 0;
+  bool open = true;
+};
+
+// What expanding one open node produced: the node closed as one segment
+// (count 1), its left and right halves (count 2), or an error.
+struct TilingPlanner::Expansion {
+  Node nodes[2];
+  usize count = 0;
+  std::exception_ptr error;
+};
+
 namespace {
 
-wfa::WfaAligner::Options planner_options(const align::Penalties& penalties) {
+wfa::WfaAligner::Options planner_options(const align::Penalties& penalties,
+                                         const wfa::WfaKernels& kernels) {
   wfa::WfaAligner::Options options;
   options.penalties = penalties;
   options.memory_mode = wfa::WfaAligner::MemoryMode::kUltralow;
+  options.kernels = &kernels;
   return options;
 }
 
 }  // namespace
 
-TilingPlanner::TilingPlanner(TilingConfig config)
-    : config_(config), planner_(planner_options(config.penalties)) {
+TilingPlanner::TilingPlanner(TilingConfig config,
+                             const wfa::WfaKernels& kernels)
+    : config_(config), kernels_(kernels) {
   PIMWFA_ARG_CHECK(config_.arena_budget_bytes > 0,
                    "tiling needs a positive arena budget");
-  PIMWFA_ARG_CHECK(config_.max_segment_bases >= 16,
-                   "tiling needs max_segment_bases >= 16");
+  PIMWFA_ARG_CHECK(config_.max_segment_bases >= kMinSegmentBases,
+                   "tiling needs max_segment_bases >= " << kMinSegmentBases);
 }
 
 u64 TilingPlanner::retained_arena_estimate(i64 score, usize plen,
@@ -44,38 +67,120 @@ u64 TilingPlanner::retained_arena_estimate(i64 score, usize plen,
   return payload + alloc_slack;
 }
 
-void TilingPlanner::plan_pair(usize pair_index, std::string_view pattern,
-                              std::string_view text,
-                              std::vector<TileSegment>& out) {
-  const i64 cap =
-      config_.score_cap != 0
-          ? static_cast<i64>(config_.score_cap)
-          : align::worst_case_score(config_.penalties, pattern.size(),
-                                    text.size());
-  recurse(pair_index, pattern, text, 0, 0, Component::kM, Component::kM, cap,
-          out);
+std::vector<TileSegment> TilingPlanner::plan(seq::ReadPairSpan batch,
+                                             const std::vector<usize>& pairs,
+                                             ThreadPool* pool) {
+  std::vector<Node> frontier;
+  frontier.reserve(pairs.size());
+  for (const usize p : pairs) {
+    Node root;
+    root.segment.pair = p;
+    root.pattern = batch.pattern(p);
+    root.text = batch.text(p);
+    root.segment.v1 = root.pattern.size();
+    root.segment.h1 = root.text.size();
+    root.score_cap =
+        config_.score_cap != 0
+            ? static_cast<i64>(config_.score_cap)
+            : align::worst_case_score(config_.penalties, root.pattern.size(),
+                                      root.text.size());
+    frontier.push_back(root);
+  }
+
+  // A worker's parallel_for would run inline anyway; a one-worker pool
+  // would only hand the level over and wait.
+  const bool dispatch =
+      pool != nullptr && pool->size() >= 2 && !pool->on_worker_thread();
+  std::vector<usize> open;  // frontier indices of this level's open nodes
+  std::vector<Expansion> expansions;
+  std::vector<Node> next_frontier;
+  while (true) {
+    open.clear();
+    for (usize i = 0; i < frontier.size(); ++i) {
+      if (frontier[i].open) open.push_back(i);
+    }
+    if (open.empty()) break;
+    expansions.assign(open.size(), Expansion{});
+    const usize chunks = dispatch ? std::min(open.size(), pool->size()) : 1;
+    while (aligners_.size() < chunks) {
+      aligners_.push_back(std::make_unique<wfa::WfaAligner>(
+          planner_options(config_.penalties, kernels_)));
+    }
+
+    // Chunks claim open nodes in frontier order and run every node they
+    // claim; none claims another after a failure. Every node before the
+    // first failing one has therefore run, whatever the pool width.
+    std::atomic<usize> next{0};
+    std::atomic<bool> failed{false};
+    const auto drain = [&](usize chunk) {
+      wfa::WfaAligner& aligner = *aligners_[chunk];
+      while (!failed.load(std::memory_order_relaxed)) {
+        const usize j = next.fetch_add(1, std::memory_order_relaxed);
+        if (j >= open.size()) return;
+        try {
+          expansions[j] = expand(frontier[open[j]], aligner);
+        } catch (...) {
+          expansions[j].error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+      }
+    };
+    if (chunks == 1) {
+      drain(0);
+    } else {
+      pool->parallel_for(chunks, [&](usize begin, usize end) {
+        for (usize c = begin; c < end; ++c) drain(c);
+      });
+    }
+    for (usize j = 0; j < open.size(); ++j) {
+      if (!expansions[j].error) continue;
+      try {
+        std::rethrow_exception(expansions[j].error);
+      } catch (const Error& e) {
+        throw Error("cannot tile pair " +
+                    std::to_string(frontier[open[j]].segment.pair) + ": " +
+                    e.what());
+      }
+    }
+
+    // Replace each expanded node in place by its segment or its halves.
+    next_frontier.clear();
+    usize j = 0;
+    for (const Node& node : frontier) {
+      if (!node.open) {
+        next_frontier.push_back(node);
+        continue;
+      }
+      const Expansion& x = expansions[j++];
+      next_frontier.insert(next_frontier.end(), x.nodes, x.nodes + x.count);
+    }
+    frontier.swap(next_frontier);
+  }
+
+  std::vector<TileSegment> segments;
+  segments.reserve(frontier.size());
+  for (const Node& node : frontier) segments.push_back(node.segment);
+  return segments;
 }
 
-void TilingPlanner::recurse(usize pair_index, std::string_view pattern,
-                            std::string_view text, usize v_base, usize h_base,
-                            Component begin, Component end, i64 score_cap,
-                            std::vector<TileSegment>& out) {
+TilingPlanner::Expansion TilingPlanner::expand(
+    const Node& node, wfa::WfaAligner& aligner) const {
+  const std::string_view pattern = node.pattern;
+  const std::string_view text = node.text;
   const usize plen = pattern.size();
   const usize tlen = text.size();
+  const Component begin = node.segment.begin;
+  const Component end = node.segment.end;
   const i32 o = config_.penalties.gap_open;
   const i32 e = config_.penalties.gap_extend;
 
-  auto emit = [&](i64 span_score) {
-    TileSegment seg;
-    seg.pair = pair_index;
-    seg.v0 = v_base;
-    seg.v1 = v_base + plen;
-    seg.h0 = h_base;
-    seg.h1 = h_base + tlen;
-    seg.begin = begin;
-    seg.end = end;
-    seg.span_score = span_score;
-    out.push_back(seg);
+  Expansion out;
+  auto close = [&](i64 span_score) {
+    out.nodes[0] = node;
+    out.nodes[0].segment.span_score = span_score;
+    out.nodes[0].open = false;
+    out.count = 1;
+    return out;
   };
 
   // Degenerate subproblem: one gap run, seam-charged (the DPU kernel
@@ -88,20 +193,16 @@ void TilingPlanner::recurse(usize pair_index, std::string_view pattern,
     } else if (plen > 0) {
       score = (begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
     }
-    emit(score);
-    return;
+    return close(score);
   }
 
   const wfa::WfaAligner::Breakpoint bp =
-      planner_.find_breakpoint(pattern, text, begin, end, score_cap);
+      aligner.find_breakpoint(pattern, text, begin, end, node.score_cap);
   const bool fits =
       plen + tlen <= config_.max_segment_bases &&
       retained_arena_estimate(bp.total, plen, tlen) <=
           config_.arena_budget_bytes;
-  if (fits) {
-    emit(bp.total);
-    return;
-  }
+  if (fits) return close(bp.total);
 
   usize v = static_cast<usize>(bp.offset - bp.k);
   usize h = static_cast<usize>(bp.offset);
@@ -112,9 +213,8 @@ void TilingPlanner::recurse(usize pair_index, std::string_view pattern,
   if (corner && bp.total == 0) {
     // A perfect-match subproblem meets at a corner; cut the pure diagonal
     // at its midpoint instead (any cell of a score-0 path is on the path).
-    PIMWFA_CHECK(plen == tlen,
-                 "cannot tile pair " << pair_index << ": score-0 path of "
-                     << plen << "x" << tlen << " bases is not a diagonal");
+    PIMWFA_CHECK(plen == tlen, "score-0 path of " << plen << "x" << tlen
+                                   << " bases is not a diagonal");
     v = plen / 2;
     h = v;
     comp = Component::kM;
@@ -125,7 +225,7 @@ void TilingPlanner::recurse(usize pair_index, std::string_view pattern,
     // that one direction's ring window swallowed it whole, so no interior
     // meeting point was reported. Recover a midpoint cut from the span
     // alignment itself - still O(s) memory through the kUltralow mode.
-    const align::AlignmentResult span = planner_.align_span(
+    const align::AlignmentResult span = aligner.align_span(
         pattern, text, align::AlignmentScope::kFull, begin, end);
     const std::string& ops = span.cigar.ops();
     const i32 x = config_.penalties.mismatch;
@@ -168,10 +268,26 @@ void TilingPlanner::recurse(usize pair_index, std::string_view pattern,
     left_cap = left;
     right_cap = bp.total - left;
   }
-  recurse(pair_index, pattern.substr(0, v), text.substr(0, h), v_base, h_base,
-          begin, comp, left_cap, out);
-  recurse(pair_index, pattern.substr(v), text.substr(h), v_base + v,
-          h_base + h, comp, end, right_cap, out);
+  // The open half [v0, v1) x [h0, h1) of this subproblem.
+  const auto open_half = [&](usize v0, usize v1, usize h0, usize h1,
+                             Component from, Component to, i64 score_cap) {
+    Node half;
+    half.segment.pair = node.segment.pair;
+    half.segment.v0 = node.segment.v0 + v0;
+    half.segment.v1 = node.segment.v0 + v1;
+    half.segment.h0 = node.segment.h0 + h0;
+    half.segment.h1 = node.segment.h0 + h1;
+    half.segment.begin = from;
+    half.segment.end = to;
+    half.pattern = pattern.substr(v0, v1 - v0);
+    half.text = text.substr(h0, h1 - h0);
+    half.score_cap = score_cap;
+    return half;
+  };
+  out.nodes[0] = open_half(0, v, 0, h, begin, comp, left_cap);
+  out.nodes[1] = open_half(v, plen, h, tlen, comp, end, right_cap);
+  out.count = 2;
+  return out;
 }
 
 align::AlignmentResult stitch_segments(

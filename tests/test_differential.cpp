@@ -27,6 +27,7 @@
 #include "baselines/gotoh.hpp"
 #include "baselines/myers.hpp"
 #include "baselines/nw.hpp"
+#include "common/thread_pool.hpp"
 #include "cpu/cpu_batch.hpp"
 #include "cpu/simd/simd.hpp"
 #include "pim/host.hpp"
@@ -691,14 +692,16 @@ TEST_P(LongReadDifferential, UltralowAndTiledPimMatchHighAtScale) {
 
   // Tiled PIM: pairs this long exceed any tasklet's WRAM share, so the
   // batch must go through the tiling planner and still stitch back to the
-  // reference alignments exactly.
+  // reference alignments exactly. The pool runs the planner's levels in
+  // parallel (and the sanitizer jobs with it).
   pim::PimOptions pim_options;
   pim_options.system = upmem::SystemConfig::tiny(2);
   pim_options.nr_tasklets = 4;
   pim_options.penalties = config.penalties;
   pim::PimBatchAligner pim(pim_options);
+  ThreadPool pool(4);
   const pim::PimBatchResult tiled =
-      pim.align_batch(batch, AlignmentScope::kFull);
+      pim.align_batch(batch, AlignmentScope::kFull, &pool);
   ASSERT_EQ(tiled.results.size(), batch.size());
   EXPECT_EQ(tiled.timings.tiled_pairs, batch.size());
   EXPECT_GT(tiled.timings.tile_segments, batch.size());

@@ -5,8 +5,9 @@
 // shared worker pool, AlignService's admission/batcher protocol and the
 // batch completions that run on the engine's dispatcher threads against
 // its fixed arena ring, the hybrid dispatcher's calibration
-// cache, the paged MRAM's lock-free page installation and the
-// PimBatchAligner's pool of simulated systems. The
+// cache, the paged MRAM's lock-free page installation, the
+// PimBatchAligner's pool of simulated systems and its tiling planner's
+// parallel levels on a shared worker pool. The
 // assertions are deliberately about *totals and determinism*, not
 // interleavings - the point of the suite is the instrumented run: the
 // TSan CI job (-DPIMWFA_SANITIZE=thread) executes it and fails on any
@@ -30,6 +31,7 @@
 #include "align/batch_engine.hpp"
 #include "align/hybrid.hpp"
 #include "align/service.hpp"
+#include "common/thread_pool.hpp"
 #include "pim/host.hpp"
 #include "seq/generator.hpp"
 #include "seq/view.hpp"
@@ -415,6 +417,64 @@ TEST(RaceStress, PimAlignerConcurrentCallsMatchFreshAligners) {
                 expected[b].timings.bytes_to_device);
       EXPECT_EQ(run.timings.bytes_from_device,
                 expected[b].timings.bytes_from_device);
+    }
+  }
+}
+
+// --- PimBatchAligner: concurrent tiled calls on one shared pool ----------
+
+TEST(RaceStress, PimTiledCallsShareOnePoolAndMatchSerialRuns) {
+  constexpr usize kThreads = 3;
+  constexpr usize kRounds = 2;
+  pim::PimOptions options;
+  options.system = upmem::SystemConfig::tiny(2);
+  options.nr_tasklets = 4;
+  options.tile_max_segment_bases = 256;
+
+  // Every batch tiles: one or two long pairs next to a short one. The
+  // references are serial runs (no pool), computed before any thread
+  // starts.
+  std::vector<ReadPairSet> batches;
+  std::vector<pim::PimBatchResult> expected;
+  for (usize b = 0; b < kThreads; ++b) {
+    Rng rng(0x7110 + b);
+    ReadPairSet batch;
+    batch.add(pimwfa::testing::random_pair(rng, 600 + 200 * b, 12));
+    batch.add(pimwfa::testing::random_pair(rng, 60, 2));
+    if (b % 2 == 0) batch.add(pimwfa::testing::random_pair(rng, 500, 20));
+    batches.push_back(std::move(batch));
+    expected.push_back(pim::PimBatchAligner(options).align_batch(
+        batches[b], AlignmentScope::kFull));
+    ASSERT_GE(expected[b].timings.tiled_pairs, 1u);
+  }
+
+  // Thread t runs batch (t + r) % kThreads in round r; every call plans
+  // its tiles and runs its DPUs on the one pool.
+  pim::PimBatchAligner shared(options);
+  ThreadPool pool(3);
+  std::vector<std::vector<pim::PimBatchResult>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (usize t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (usize r = 0; r < kRounds; ++r) {
+        const usize b = (t + r) % kThreads;
+        got[t].push_back(
+            shared.align_batch(batches[b], AlignmentScope::kFull, &pool));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (usize t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds);
+    for (usize r = 0; r < kRounds; ++r) {
+      const usize b = (t + r) % kThreads;
+      const pim::PimBatchResult& run = got[t][r];
+      EXPECT_EQ(run.results, expected[b].results)
+          << "thread " << t << " round " << r;
+      EXPECT_EQ(run.timings.tile_segments, expected[b].timings.tile_segments);
+      EXPECT_EQ(run.timings.kernel_cycles_total,
+                expected[b].timings.kernel_cycles_total);
     }
   }
 }

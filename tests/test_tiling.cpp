@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "align/hybrid.hpp"
 #include "align/verify.hpp"
+#include "common/thread_pool.hpp"
+#include "cpu/simd/simd.hpp"
 #include "pim/host.hpp"
 #include "pim/layout.hpp"
 #include "pim/tiling.hpp"
@@ -76,46 +79,133 @@ void expect_valid_plan(const std::vector<TileSegment>& segments,
                 .score);
 }
 
+// The serial planner's segments for one pair.
+std::vector<TileSegment> plan_one(const TilingConfig& config,
+                                  const seq::ReadPair& pair) {
+  seq::ReadPairSet batch;
+  batch.add(pair);
+  return TilingPlanner(config).plan(batch, {0});
+}
+
+// Plans `pairs` of `batch` with a null pool and pools of 1, 2 and 4
+// workers, at every kernel level this host supports. Each plan must equal
+// the reference - a null pool with scalar kernels - field for field;
+// returns the reference.
+std::vector<TileSegment> expect_same_plan_everywhere(
+    const TilingConfig& config, const seq::ReadPairSet& batch,
+    const std::vector<usize>& pairs) {
+  const std::vector<TileSegment> reference =
+      TilingPlanner(config).plan(batch, pairs);
+  ThreadPool one(1), two(2), four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                           &four}) {
+    const usize workers = pool == nullptr ? 0 : pool->size();
+    for (int level = 0;
+         level <= static_cast<int>(cpu::simd::runtime_level()); ++level) {
+      const auto simd = static_cast<cpu::simd::SimdLevel>(level);
+      TilingPlanner planner(config, cpu::simd::wfa_kernels(simd));
+      EXPECT_EQ(planner.plan(batch, pairs, pool), reference)
+          << "workers=" << workers
+          << " kernels=" << cpu::simd::level_name(simd);
+    }
+  }
+  return reference;
+}
+
+// Each input below exercises a cut rule of the planner (see tiling.cpp);
+// every plan must be the same whatever the pool width and kernel level.
+
 TEST(TilingPlanner, SegmentsCoverPairAndScoresAdd) {
+  // Interior meets, plus corner meets resolved through align_span.
   Rng rng(101);
-  const seq::ReadPair pair = pimwfa::testing::random_pair(rng, 1000, 25);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 1000, 25));
   TilingConfig config;
   config.arena_budget_bytes = 1u << 20;
   config.max_segment_bases = 256;
-  TilingPlanner planner(config);
-  std::vector<TileSegment> segments;
-  planner.plan_pair(0, pair.pattern, pair.text, segments);
+  const std::vector<TileSegment> segments =
+      expect_same_plan_everywhere(config, batch, {0});
   EXPECT_GT(segments.size(), 4u);
-  expect_valid_plan(segments, pair, 256, Penalties::defaults());
+  expect_valid_plan(segments, batch[0], 256, Penalties::defaults());
 }
 
 TEST(TilingPlanner, PerfectMatchSplitsAtDiagonalMidpoints) {
   Rng rng(102);
-  seq::ReadPair pair;
-  pair.pattern = seq::random_sequence(rng, 800);
-  pair.text = pair.pattern;
+  const std::string sequence = seq::random_sequence(rng, 800);
+  seq::ReadPairSet batch;
+  batch.add({sequence, sequence});
   TilingConfig config;
   config.arena_budget_bytes = 1u << 20;
   config.max_segment_bases = 128;
-  TilingPlanner planner(config);
-  std::vector<TileSegment> segments;
-  planner.plan_pair(0, pair.pattern, pair.text, segments);
-  expect_valid_plan(segments, pair, 128, Penalties::defaults());
+  const std::vector<TileSegment> segments =
+      expect_same_plan_everywhere(config, batch, {0});
+  expect_valid_plan(segments, batch[0], 128, Penalties::defaults());
   for (const TileSegment& seg : segments) EXPECT_EQ(seg.span_score, 0);
 }
 
 TEST(TilingPlanner, ArenaBudgetAloneForcesSplits) {
   Rng rng(103);
-  const seq::ReadPair pair = pimwfa::testing::random_pair(rng, 600, 40);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 600, 40));
+  for (const Penalties& penalties :
+       {Penalties::defaults(), Penalties{2, 12, 1}}) {
+    TilingConfig config;
+    config.penalties = penalties;
+    // Generous size bound; the (tiny) arena budget drives the splits.
+    config.arena_budget_bytes = 16u << 10;
+    config.max_segment_bases = 1u << 20;
+    const std::vector<TileSegment> segments =
+        expect_same_plan_everywhere(config, batch, {0});
+    EXPECT_GT(segments.size(), 1u);
+    expect_valid_plan(segments, batch[0], 1u << 20, penalties);
+  }
+}
+
+TEST(TilingPlanner, CutsInsideGapRunsGiveInsertionAndDeletionSeams) {
+  // An 80-base deletion in the first half and an 80-base insertion in the
+  // second: cuts land inside both runs, giving kD and kI seams.
+  Rng rng(1);
+  seq::ReadPair pair;
+  pair.pattern = seq::random_sequence(rng, 1200);
+  pair.text = pair.pattern.substr(0, 300) + pair.pattern.substr(380, 520) +
+              seq::random_sequence(rng, 80) + pair.pattern.substr(900);
+  seq::ReadPairSet batch;
+  batch.add(pair);
   TilingConfig config;
-  // Generous size bound; the (tiny) arena budget drives the recursion.
-  config.arena_budget_bytes = 16u << 10;
-  config.max_segment_bases = 1u << 20;
-  TilingPlanner planner(config);
-  std::vector<TileSegment> segments;
-  planner.plan_pair(0, pair.pattern, pair.text, segments);
-  EXPECT_GT(segments.size(), 1u);
-  expect_valid_plan(segments, pair, 1u << 20, Penalties::defaults());
+  config.arena_budget_bytes = 1u << 20;
+  config.max_segment_bases = 128;
+  const std::vector<TileSegment> segments =
+      expect_same_plan_everywhere(config, batch, {0});
+  expect_valid_plan(segments, pair, 128, Penalties::defaults());
+  usize insertion_seams = 0;
+  usize deletion_seams = 0;
+  for (const TileSegment& seg : segments) {
+    insertion_seams += seg.begin == Component::kI ? 1 : 0;
+    deletion_seams += seg.begin == Component::kD ? 1 : 0;
+  }
+  EXPECT_GE(insertion_seams, 1u);
+  EXPECT_GE(deletion_seams, 1u);
+}
+
+TEST(TilingPlanner, MultiPairPlanIsPairMajorAndMatchesPerPairPlans) {
+  // Pairs 1 and 3 are planned; 0 and 2 are not asked for.
+  Rng rng(104);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 900, 20));
+  batch.add(pimwfa::testing::random_pair(rng, 1500, 40));
+  batch.add(pimwfa::testing::random_pair(rng, 100, 2));
+  batch.add(pimwfa::testing::random_pair(rng, 700, 30));
+  TilingConfig config;
+  config.arena_budget_bytes = 1u << 20;
+  config.max_segment_bases = 200;
+  const std::vector<TileSegment> segments =
+      expect_same_plan_everywhere(config, batch, {1, 3});
+  std::vector<TileSegment> per_pair = plan_one(config, batch[1]);
+  for (TileSegment& seg : per_pair) seg.pair = 1;
+  std::vector<TileSegment> last = plan_one(config, batch[3]);
+  for (TileSegment& seg : last) seg.pair = 3;
+  per_pair.insert(per_pair.end(), last.begin(), last.end());
+  EXPECT_EQ(segments, per_pair);
 }
 
 TEST(PimTiling, TiledFullAlignmentMatchesHost) {
@@ -136,6 +226,13 @@ TEST(PimTiling, TiledFullAlignmentMatchesHost) {
   EXPECT_EQ(result.timings.tiled_pairs, 2u);
   EXPECT_GT(result.timings.tile_segments, batch.size());
   EXPECT_EQ(result.timings.pairs, batch.size());
+  EXPECT_GT(result.timings.tile_plan_seconds, 0.0);
+  // A batch that tiles nothing plans nothing.
+  seq::ReadPairSet short_pairs;
+  short_pairs.add(batch[1]);
+  EXPECT_EQ(aligner.align_batch(short_pairs, AlignmentScope::kFull)
+                .timings.tile_plan_seconds,
+            0.0);
 }
 
 TEST(PimTiling, TiledScoreOnlyMatchesHost) {
@@ -210,6 +307,58 @@ TEST(PimTiling, DisabledTilingNamesTheOffendingPair) {
     EXPECT_NE(message.find("pair 1"), std::string::npos) << message;
     EXPECT_NE(message.find("tile_long_pairs"), std::string::npos) << message;
   }
+}
+
+TEST(PimTiling, PlanningErrorNamesFirstFailingPairAtEveryPoolWidth) {
+  // Both long pairs exceed the score cap. Pair 2 is the shorter one and
+  // fails first in time on a wide pool; the error must still name pair 1,
+  // the first failing pair in frontier order.
+  Rng rng(14);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 100, 1));
+  batch.add(pimwfa::testing::random_pair(rng, 3000, 60));
+  batch.add(pimwfa::testing::random_pair(rng, 600, 30));
+  PimOptions capped = tiny_options(2, 4);
+  capped.tile_max_segment_bases = 256;
+  capped.max_score = 40;
+  PimOptions uncapped = capped;
+  uncapped.max_score = 0;
+  ThreadPool one(1), two(2), four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                           &four}) {
+    const usize workers = pool == nullptr ? 0 : pool->size();
+    PimBatchAligner aligner(capped);
+    try {
+      aligner.align_batch(batch, AlignmentScope::kFull, pool);
+      ADD_FAILURE() << "expected Error over the score cap, workers="
+                    << workers;
+    } catch (const Error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("cannot tile pair 1:"), std::string::npos)
+          << "workers=" << workers << ": " << message;
+    }
+    // The pool stays usable.
+    const PimBatchResult result = PimBatchAligner(uncapped).align_batch(
+        batch, AlignmentScope::kFull, pool);
+    expect_matches_host(batch, result, Penalties::defaults(), true);
+  }
+}
+
+TEST(PimTiling, ConstructorRejectsSegmentBoundBelowPlannerMinimum) {
+  PimOptions options = tiny_options(1, 4);
+  for (const usize bases : {1u, 8u, 15u}) {
+    options.tile_max_segment_bases = bases;
+    try {
+      PimBatchAligner aligner(options);
+      ADD_FAILURE() << "expected InvalidArgument for " << bases << " bases";
+    } catch (const InvalidArgument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("tile_max_segment_bases"), std::string::npos)
+          << message;
+    }
+  }
+  options.tile_max_segment_bases = TilingPlanner::kMinSegmentBases;
+  EXPECT_NO_THROW(PimBatchAligner aligner(options));
 }
 
 TEST(PimTiling, HybridSplitsAndAlignsLongPairBatch) {
