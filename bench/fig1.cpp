@@ -1,6 +1,7 @@
 // Regenerates Fig. 1 of the paper: CPU (1/16/32/48/56 threads) vs PIM
 // (Total, Kernel) time for aligning 5 million 100bp read pairs at
-// edit-distance thresholds E = 2% and 4%.
+// edit-distance thresholds E = 2% and 4%, plus Observation 1: where the
+// CPU roofline hits its memory floor and stops scaling.
 //
 //   ./fig1                    # paper-scale workload, default sim subset
 //   ./fig1 --pairs 500000     # smaller batch
@@ -60,6 +61,10 @@ int main(int argc, char** argv) {
         const int e_pct = static_cast<int>(detail.error_rate * 100);
         report.add_metric(strprintf("cpu_56t_seconds_e%d", e_pct),
                           detail.cpu_56t_seconds, "s");
+        report.add_metric(strprintf("memory_floor_seconds_e%d", e_pct),
+                          detail.memory_floor_seconds, "s");
+        report.add_metric(strprintf("saturation_threads_e%d", e_pct),
+                          static_cast<double>(detail.saturation_threads));
         report.add_metric(strprintf("pim_total_seconds_e%d", e_pct),
                           detail.pim.total_seconds(), "s");
         report.add_metric(strprintf("pim_kernel_seconds_e%d", e_pct),

@@ -81,8 +81,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (cpu::simd::runtime_level() >= SimdLevel::kSse42)
-    levels.push_back(SimdLevel::kSse42);
   if (cpu::simd::runtime_level() >= SimdLevel::kAvx2)
     levels.push_back(SimdLevel::kAvx2);
 

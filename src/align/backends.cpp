@@ -19,8 +19,7 @@ void register_builtin_backends(BackendRegistry& registry) {
                });
   registry.add("cpu-simd",
                "host WFA through the SIMD layer: runtime-dispatched "
-               "AVX2/SSE4.2 kernels + exact fast paths, bit-identical "
-               "to cpu",
+               "AVX2 kernels + exact fast paths, bit-identical to cpu",
                [](const BatchOptions& options) {
                  BatchOptions adjusted = options;
                  adjusted.cpu_simd = true;

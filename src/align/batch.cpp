@@ -29,8 +29,6 @@ void BatchOptions::validate() const {
                                << " needs pipelining on (--pipeline)");
   PIMWFA_ARG_CHECK(hybrid_cpu_fraction <= 1.0,
                    "hybrid_cpu_fraction must be <= 1 (negative = calibrate)");
-  PIMWFA_ARG_CHECK(hybrid_calibration_pairs >= 1,
-                   "hybrid calibration needs at least one pair");
 }
 
 }  // namespace pimwfa::align

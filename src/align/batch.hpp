@@ -46,10 +46,6 @@ struct BatchOptions {
   // --- CPU backend -------------------------------------------------------
   // Host worker threads for the measured run (0 = hardware concurrency).
   usize cpu_threads = 1;
-  // Thread count used when projecting the measurement onto the paper's
-  // server through the roofline ScalingModel (0 = that machine's maximum,
-  // 56 for the dual Xeon Gold 5120).
-  usize cpu_model_threads = 0;
   // Calibration override: modeled single-thread seconds per pair on one
   // core of the paper's CPU. When > 0 the CPU model skips the host
   // measurement and becomes fully deterministic (used by the CI perf
@@ -91,8 +87,6 @@ struct BatchOptions {
   // the modeled throughputs of both sides (the default); [0, 1] forces
   // the split (0 = all PIM, 1 = all CPU).
   double hybrid_cpu_fraction = -1.0;
-  // Pairs sampled for the CPU-side calibration measurement.
-  usize hybrid_calibration_pairs = 128;
 
   // Throws InvalidArgument on out-of-range fields.
   void validate() const;

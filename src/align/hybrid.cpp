@@ -21,14 +21,6 @@ HybridBatchAligner::HybridBatchAligner(BatchOptions options)
   options_.validate();
 }
 
-void HybridBatchAligner::set_options(BatchOptions options) {
-  options.validate();
-  MutexLock lock(cache_mutex_);
-  options_ = std::move(options);
-  cache_.clear();
-  calibrations_.store(0, std::memory_order_relaxed);
-}
-
 HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
     seq::ReadPairSpan batch, AlignmentScope scope, ThreadPool* pool,
     usize pairs) const {
@@ -40,17 +32,13 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
 
   // --- CPU side: per-pair cost on one paper core + roofline projection --
   if (forced != 0.0) {
-    const usize sample_pairs =
-        std::min(materialized, options_.hybrid_calibration_pairs);
-    // Guarded by BatchOptions::validate (hybrid_calibration_pairs >= 1)
-    // and plan() (materialized > 0), but the division below turns a
-    // zero into a NaN per-pair cost and a garbage split, so fail loudly
-    // here too rather than trust every entry path forever.
+    const usize sample_pairs = std::min(materialized, kCalibrationPairs);
+    // plan() rejects an empty materialized batch, but the division below
+    // turns a zero into a NaN per-pair cost and a garbage split, so fail
+    // loudly here too rather than trust every entry path forever.
     PIMWFA_ARG_CHECK(sample_pairs >= 1,
-                     "hybrid CPU calibration needs at least one sample "
-                     "pair (hybrid_calibration_pairs="
-                         << options_.hybrid_calibration_pairs
-                         << ", materialized=" << materialized << ")");
+                     "hybrid CPU calibration needs at least one sample pair "
+                     "(materialized=" << materialized << ")");
     // With the SIMD backend on the CPU side, price its effect from work
     // counters (deterministic): the speedup scales the per-pair override,
     // and the fast-path fraction shrinks the modeled traffic floor -
@@ -95,8 +83,7 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
             ? traffic_per_pair * n
             : cpu::estimate_batch_traffic(pairs, metadata_bytes);
     out.cpu_alone_seconds = cpu::project_batch_seconds_traffic(
-        cpu_system, out.cpu_per_pair_seconds * n, out.cpu_traffic_bytes,
-        options_.cpu_model_threads);
+        cpu_system, out.cpu_per_pair_seconds * n, out.cpu_traffic_bytes);
   }
 
   // --- PIM side: simulate one DPU's share, model the full system -------
@@ -111,8 +98,7 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
       // simulated slice of the system instead, scaled by the pair count
       // and the DPU-count ratio: segments spread round-robin, so PIM
       // time is ~inversely proportional to DPU count.
-      const usize sample_pairs =
-          std::min(materialized, options_.hybrid_calibration_pairs);
+      const usize sample_pairs = std::min(materialized, kCalibrationPairs);
       pim::PimOptions tiled_probe = probe;
       tiled_probe.simulate_dpus = 0;
       tiled_probe.virtual_total_pairs = 0;

@@ -24,9 +24,9 @@
 // per-instance cache is mutex-guarded - the BatchEngine keeps several
 // batches in flight against one backend - and a cache miss computes the
 // calibration while holding the lock, so concurrent runs of the same
-// configuration perform exactly one probe. Replacing the options through
-// set_options() invalidates the cache; a new batch shape calibrates its
-// own entry without evicting others.
+// configuration perform exactly one probe. The options are fixed at
+// construction; a new batch shape calibrates its own entry without
+// evicting others.
 #pragma once
 
 #include <atomic>
@@ -40,6 +40,10 @@ namespace pimwfa::align {
 class HybridBatchAligner final : public BatchAligner {
  public:
   explicit HybridBatchAligner(BatchOptions options);
+
+  // Pairs sampled for the CPU-side calibration measurement (and for the
+  // tiled PIM probe of long-pair batches).
+  static constexpr usize kCalibrationPairs = 128;
 
   // The calibrated split and the modeled alone-times it derives from.
   struct Plan {
@@ -70,14 +74,9 @@ class HybridBatchAligner final : public BatchAligner {
 
   const BatchOptions& options() const noexcept { return options_; }
 
-  // Replaces the options (validated) and invalidates the calibration
-  // cache. Not safe to call while runs are in flight on this instance;
-  // quiesce the engine first.
-  void set_options(BatchOptions options) PIMWFA_EXCLUDES(cache_mutex_);
-
-  // Calibrations actually computed (cache misses) since construction or
-  // the last set_options(). Repeated runs of one configuration keep this
-  // at 1; the concurrency stress test asserts exactly that.
+  // Calibrations actually computed (cache misses) since construction.
+  // Repeated runs of one configuration keep this at 1; the concurrency
+  // stress test asserts exactly that.
   usize calibrations_performed() const noexcept {
     return calibrations_.load(std::memory_order_relaxed);
   }
@@ -87,15 +86,15 @@ class HybridBatchAligner final : public BatchAligner {
   // how much of it is materialized (bounds the CPU sample and the probe's
   // input), the per-pair MRAM slot geometry (max sequence lengths) and
   // the alignment scope. Options are not part of the key because the
-  // cache is per-instance and set_options() clears it.
+  // cache is per-instance and the options are fixed at construction.
   //
   // The key is deliberately shape-only: a calibration is a model
   // *estimate*, and same-shape batches are assumed workload-homogeneous
   // (true for the paper's generated workloads, and the premise of
   // reusing any calibration at all). Feeding one instance same-shape
   // batches with very different edit loads reuses the first batch's
-  // measured CPU sample and probe; recalibrate by shape change or
-  // set_options() when that assumption breaks. With the deterministic
+  // measured CPU sample and probe; recalibrate by shape change or a new
+  // instance when that assumption breaks. With the deterministic
   // cpu_per_pair_seconds override, cached entries are exact.
   struct CalibrationKey {
     usize pairs = 0;
@@ -118,12 +117,7 @@ class HybridBatchAligner final : public BatchAligner {
                         ThreadPool* pool, usize pairs) const
       PIMWFA_REQUIRES(cache_mutex_);
 
-  // options_ is deliberately NOT guarded by cache_mutex_: run()/plan()
-  // read it unlocked on every engine worker, and set_options() documents
-  // that the instance must be quiesced first - the guard is that
-  // external protocol, not the cache lock (which set_options still takes
-  // to clear the cache it invalidates).
-  BatchOptions options_;
+  const BatchOptions options_;
   mutable Mutex cache_mutex_;
   mutable std::map<CalibrationKey, Calibration> cache_
       PIMWFA_GUARDED_BY(cache_mutex_);

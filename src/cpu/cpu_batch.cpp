@@ -50,14 +50,8 @@ CpuBatchAligner::CpuBatchAligner(CpuBatchOptions options)
 
 CpuBatchAligner::CpuBatchAligner(const align::BatchOptions& batch)
     : CpuBatchAligner(CpuBatchOptions::from(batch)) {
-  model_threads_ = batch.cpu_model_threads;
   per_pair_seconds_override_ = batch.cpu_per_pair_seconds;
   virtual_pairs_ = batch.virtual_pairs;
-}
-
-CpuBatchResult CpuBatchAligner::align_batch(seq::ReadPairSpan batch,
-                                            align::AlignmentScope scope) const {
-  return align_batch(batch, scope, nullptr);
 }
 
 CpuBatchResult CpuBatchAligner::align_batch(seq::ReadPairSpan batch,
@@ -178,11 +172,11 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
     }
     t.modeled_seconds = project_batch_seconds_traffic(
         system, t1_simd,
-        simd::traffic_bytes_per_pair(native.simd) * static_cast<double>(pairs),
-        model_threads_);
+        simd::traffic_bytes_per_pair(native.simd) *
+            static_cast<double>(pairs));
   } else {
-    t.modeled_seconds = project_batch_seconds(system, t1_model, pairs,
-                                              metadata_bytes, model_threads_);
+    t.modeled_seconds =
+        project_batch_seconds(system, t1_model, pairs, metadata_bytes);
   }
   t.cpu_modeled_seconds = t.modeled_seconds;
   t.cpu_alone_seconds = t.modeled_seconds;

@@ -49,17 +49,14 @@ class CpuBatchAligner final : public align::BatchAligner {
   explicit CpuBatchAligner(const align::BatchOptions& batch);
 
   // Native batch API over a non-owning pair view (zero-copy: the hybrid
-  // dispatcher and the engine hand in O(1) sub-spans of one batch). The
-  // ThreadPool overload reuses an external pool for the worker loops (one
-  // static share per pool worker, options().threads ignored) so
-  // long-lived drivers like the BatchEngine stop paying pool construction
-  // per batch; the two-argument form keeps the historical behaviour of
-  // spawning a pool per call when options().threads > 1.
-  CpuBatchResult align_batch(seq::ReadPairSpan batch,
-                             align::AlignmentScope scope) const;
+  // dispatcher and the engine hand in O(1) sub-spans of one batch). A
+  // `pool` runs the worker loops (one static share per pool worker,
+  // options().threads ignored) so long-lived drivers like the
+  // BatchEngine stop paying pool construction per batch; without one, a
+  // pool is spawned per call when options().threads > 1.
   CpuBatchResult align_batch(seq::ReadPairSpan batch,
                              align::AlignmentScope scope,
-                             ThreadPool* pool) const;
+                             ThreadPool* pool = nullptr) const;
 
   // Unified interface: measures with the configured host threads and
   // projects the measurement onto the modeled server (ScalingModel) for
@@ -84,7 +81,6 @@ class CpuBatchAligner final : public align::BatchAligner {
   simd::SimdLevel simd_level_ = simd::SimdLevel::kScalar;
   // Unified-options fields consumed by run() (defaults when constructed
   // from native CpuBatchOptions).
-  usize model_threads_ = 0;
   double per_pair_seconds_override_ = 0;
   usize virtual_pairs_ = 0;
 };

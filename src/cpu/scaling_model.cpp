@@ -50,19 +50,15 @@ double estimate_batch_traffic(u64 pairs, u64 metadata_bytes,
 }
 
 double project_batch_seconds_traffic(const CpuSystemModel& system,
-                                     double t1_seconds, double traffic_bytes,
-                                     usize model_threads) {
+                                     double t1_seconds, double traffic_bytes) {
   const ScalingModel scaling(system, t1_seconds, traffic_bytes);
-  return scaling.project(model_threads != 0 ? model_threads
-                                            : system.max_threads());
+  return scaling.project(system.max_threads());
 }
 
 double project_batch_seconds(const CpuSystemModel& system, double t1_seconds,
-                             u64 pairs, u64 metadata_bytes,
-                             usize model_threads) {
+                             u64 pairs, u64 metadata_bytes) {
   return project_batch_seconds_traffic(
-      system, t1_seconds, estimate_batch_traffic(pairs, metadata_bytes),
-      model_threads);
+      system, t1_seconds, estimate_batch_traffic(pairs, metadata_bytes));
 }
 
 }  // namespace pimwfa::cpu

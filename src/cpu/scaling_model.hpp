@@ -91,19 +91,17 @@ double estimate_batch_traffic(u64 pairs, u64 metadata_bytes,
 // One-call roofline projection shared by everything that models a CPU
 // batch (the cpu backend's unified run(), the hybrid calibration):
 // modeled seconds for a `pairs`-pair batch given its modeled
-// single-thread time and wavefront metadata bytes, at `model_threads`
-// threads (0 = the machine's maximum). Linear in both roofline terms, so
-// a k-fraction share of the batch takes exactly k times this.
+// single-thread time and wavefront metadata bytes, on all of the
+// machine's threads. Linear in both roofline terms, so a k-fraction
+// share of the batch takes exactly k times this.
 double project_batch_seconds(const CpuSystemModel& system, double t1_seconds,
-                             u64 pairs, u64 metadata_bytes,
-                             usize model_threads);
+                             u64 pairs, u64 metadata_bytes);
 
 // Same projection with the traffic supplied directly instead of through
 // estimate_batch_traffic - for callers with their own traffic model (the
 // SIMD layer's fast paths skip the wavefront arena entirely, so their
 // per-pair footprint is far below the scalar backend's fixed bytes).
 double project_batch_seconds_traffic(const CpuSystemModel& system,
-                                     double t1_seconds, double traffic_bytes,
-                                     usize model_threads);
+                                     double t1_seconds, double traffic_bytes);
 
 }  // namespace pimwfa::cpu

@@ -26,9 +26,9 @@ constexpr double kUnitsPerMatchByte = 1.0;   // one extend comparison
 constexpr double kUnitsPerProbe = 2.0;       // extend loop setup/teardown
 constexpr double kUnitsPerPair = 60.0;       // dispatch, result handling
 
-// Effective speedup of the vectorized recurrence (4/8 lanes, minus the
+// Effective speedup of the vectorized recurrence (8 lanes, minus the
 // scalar head/tail and the blend overhead) and of the block compares
-// (16/32 bytes per step, discounted for short runs).
+// (32 bytes per step, discounted for short runs).
 struct LevelCosts {
   double cell_lanes;
   double bytes_per_step;
@@ -38,8 +38,6 @@ LevelCosts level_costs(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx2:
       return {6.0, 16.0};
-    case SimdLevel::kSse42:
-      return {3.0, 8.0};
     case SimdLevel::kScalar:
       break;
   }

@@ -22,10 +22,6 @@ constexpr KernelTable kScalarTable{&wfa::match_run_scalar,
                                    &wfa::compute_row_scalar,
                                    &mismatch_mask_scalar, 16, 1};
 #if PIMWFA_SIMD_LEVEL >= 1
-constexpr KernelTable kSse42Table{&match_run_sse42, &compute_row_sse42,
-                                  &mismatch_mask_sse42, 16, 4};
-#endif
-#if PIMWFA_SIMD_LEVEL >= 2
 constexpr KernelTable kAvx2Table{&match_run_avx2, &compute_row_avx2,
                                  &mismatch_mask_avx2, 32, 8};
 #endif
@@ -33,11 +29,8 @@ constexpr KernelTable kAvx2Table{&match_run_avx2, &compute_row_avx2,
 }  // namespace
 
 const KernelTable& kernel_table(SimdLevel level) noexcept {
-#if PIMWFA_SIMD_LEVEL >= 2
-  if (level >= SimdLevel::kAvx2) return kAvx2Table;
-#endif
 #if PIMWFA_SIMD_LEVEL >= 1
-  if (level >= SimdLevel::kSse42) return kSse42Table;
+  if (level >= SimdLevel::kAvx2) return kAvx2Table;
 #endif
   (void)level;
   return kScalarTable;
@@ -45,8 +38,6 @@ const KernelTable& kernel_table(SimdLevel level) noexcept {
 
 const char* level_name(SimdLevel level) noexcept {
   switch (level) {
-    case SimdLevel::kSse42:
-      return "sse42";
     case SimdLevel::kAvx2:
       return "avx2";
     case SimdLevel::kScalar:
@@ -57,17 +48,14 @@ const char* level_name(SimdLevel level) noexcept {
 
 SimdLevel parse_level(std::string_view name) {
   if (name == "scalar") return SimdLevel::kScalar;
-  if (name == "sse42") return SimdLevel::kSse42;
   if (name == "avx2") return SimdLevel::kAvx2;
   throw InvalidArgument("unknown SIMD level '" + std::string(name) +
-                        "' (expected scalar, sse42 or avx2)");
+                        "' (expected scalar or avx2)");
 }
 
 SimdLevel compiled_level() noexcept {
-#if PIMWFA_SIMD_LEVEL >= 2
+#if PIMWFA_SIMD_LEVEL >= 1
   return SimdLevel::kAvx2;
-#elif PIMWFA_SIMD_LEVEL >= 1
-  return SimdLevel::kSse42;
 #else
   return SimdLevel::kScalar;
 #endif
@@ -77,7 +65,6 @@ SimdLevel runtime_level() noexcept {
   static const SimdLevel level = [] {
     SimdLevel host = SimdLevel::kScalar;
 #if defined(__GNUC__) || defined(__clang__)
-    if (__builtin_cpu_supports("sse4.2")) host = SimdLevel::kSse42;
     if (__builtin_cpu_supports("avx2")) host = SimdLevel::kAvx2;
 #endif
     return std::min(host, compiled_level());
@@ -112,8 +99,6 @@ const wfa::WfaKernels& wfa_kernels(SimdLevel level) {
   static const wfa::WfaKernels kTables[] = {
       {kernel_table(SimdLevel::kScalar).match_run,
        kernel_table(SimdLevel::kScalar).compute_row},
-      {kernel_table(SimdLevel::kSse42).match_run,
-       kernel_table(SimdLevel::kSse42).compute_row},
       {kernel_table(SimdLevel::kAvx2).match_run,
        kernel_table(SimdLevel::kAvx2).compute_row},
   };

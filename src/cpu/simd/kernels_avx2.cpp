@@ -3,7 +3,7 @@
 // unless runtime dispatch confirmed the host supports it.
 #include "cpu/simd/kernel_table.hpp"
 
-#if PIMWFA_SIMD_LEVEL >= 2
+#if PIMWFA_SIMD_LEVEL >= 1
 
 #include <immintrin.h>
 
@@ -149,4 +149,4 @@ void compute_row_avx2(const wfa::ComputeRowArgs& args) {
 
 }  // namespace pimwfa::cpu::simd
 
-#endif  // PIMWFA_SIMD_LEVEL >= 2
+#endif  // PIMWFA_SIMD_LEVEL >= 1

@@ -7,16 +7,16 @@
 //     the PIMWFA_SIMD CMake option (-> PIMWFA_SIMD_LEVEL), narrowed at
 //     runtime by what the host CPU actually supports, and overridable
 //     downward with the PIMWFA_FORCE_SIMD environment knob
-//     (scalar|sse42|avx2; forcing above the supported ceiling throws).
+//     (scalar|avx2; forcing above the supported ceiling throws).
 //
-//  2. Vectorized WFA kernels. The extend match-run scan compares 16
-//     (SSE4.2) or 32 (AVX2) bases per step; the compute recurrence runs
-//     4 or 8 diagonals per lane over the padded wavefront rows (see
-//     wfa/kernels.hpp for the sentinel-padding contract). Plugged into
-//     WfaAligner through wfa::WfaKernels.
+//  2. Vectorized WFA kernels. The AVX2 extend match-run scan compares
+//     32 bases per step; the compute recurrence runs 8 diagonals per
+//     lane over the padded wavefront rows (see wfa/kernels.hpp for the
+//     sentinel-padding contract). Plugged into WfaAligner through
+//     wfa::WfaKernels.
 //
 //  3. Exact fast paths. Before a pair reaches the full aligner, a
-//     lane-batched classifier (8/4 pairs per group, early-exiting lanes,
+//     lane-batched classifier (8 pairs per group, early-exiting lanes,
 //     scalar tail for remainders) computes capped Hamming distances for
 //     equal-length pairs. Pairs whose mismatch count h satisfies
 //     h * x < 2 * (gap_open + gap_extend) have the gapless diagonal as
@@ -49,11 +49,10 @@ namespace pimwfa::cpu::simd {
 // Dispatch levels, ordered: comparisons and std::min work as expected.
 enum class SimdLevel : u8 {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-// "scalar" / "sse42" / "avx2".
+// "scalar" / "avx2".
 const char* level_name(SimdLevel level) noexcept;
 // Inverse of level_name; throws InvalidArgument on anything else.
 SimdLevel parse_level(std::string_view name);
@@ -71,7 +70,7 @@ SimdLevel active_level();
 // `name` and validates it against runtime_level().
 SimdLevel resolve_forced_level(std::string_view name);
 
-// Pairs classified per lane-batched group: 8 (AVX2), 4 (SSE4.2), 1.
+// Pairs classified per lane-batched group: 8 (AVX2), 1 (scalar).
 usize lane_width(SimdLevel level) noexcept;
 
 // Fast-path counters, merged across worker threads like WfaCounters.

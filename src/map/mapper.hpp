@@ -39,10 +39,6 @@ struct MapperOptions {
   // window padding, the Myers filter threshold, the qualifying score cap
   // - derives from this single knob.
   double error_rate = 0.02;
-  // Window padding on each side of the voted start (0 = auto:
-  // 2 * ceil(error_rate * length), enough slack for every placement
-  // within the budget).
-  usize pad = 0;
 
   // Hierarchical verification: when true, candidates whose Myers edit
   // distance exceeds filter_threshold never reach the WFA. Turning it
@@ -110,7 +106,9 @@ class ReadMapper {
   MapResult map(const std::vector<std::string>& reads);
 
   // Derived thresholds, exposed so tests can construct exact edge cases.
-  // Window padding for a read of this length.
+  // Window padding on each side of a voted start for a read of this
+  // length: twice the edit budget, enough slack for every placement
+  // within it.
   usize pad_for(usize read_length) const;
   // Highest qualifying affine score of a read of this length against a
   // window of that length.

@@ -76,6 +76,8 @@ Fig1Result run_fig1(const Fig1Options& options, ThreadPool* pool) {
             static_cast<double>(cpu_result.work.allocated_bytes) * scale));
     const cpu::ScalingModel scaling(options.cpu_system, detail.cpu_t1_seconds,
                                     detail.cpu_traffic_bytes);
+    detail.memory_floor_seconds = scaling.memory_floor_seconds();
+    detail.saturation_threads = scaling.saturation_threads();
 
     for (const usize threads : options.cpu_threads) {
       const double seconds = scaling.project(threads);
@@ -150,6 +152,11 @@ void Fig1Result::print(std::ostream& os) const {
         "  E=%.0f%%: PIM Total %.2fx, PIM Kernel %.2fx vs 56-thread CPU "
         "(paper: 4.87x/37.4x at 2%%, 4.05x/12.3x at 4%%)\n",
         detail.error_rate * 100, detail.speedup_total, detail.speedup_kernel);
+    os << strprintf(
+        "          CPU: T1 %s, memory floor %s, saturates at %zu threads\n",
+        format_seconds(detail.cpu_t1_seconds).c_str(),
+        format_seconds(detail.memory_floor_seconds).c_str(),
+        detail.saturation_threads);
     os << strprintf(
         "          scatter %s + kernel %s + gather %s; %s to DPUs, %s back; "
         "%llu pairs cross-checked PIM==CPU\n",

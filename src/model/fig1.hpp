@@ -2,7 +2,8 @@
 // reads at edit-distance thresholds E in {2%, 4%}, for
 //   - the CPU WFA baseline at 1/16/32/48/56 threads (measured single-thread
 //     time on this machine projected onto the paper's dual Xeon Gold 5120
-//     through the roofline ScalingModel), and
+//     through the roofline ScalingModel, whose memory floor and
+//     saturation thread count are the paper's Observation 1), and
 //   - the PIM implementation on the simulated 2560-DPU UPMEM system:
 //     "Total" (scatter + kernel + gather) and "Kernel".
 //
@@ -53,6 +54,8 @@ struct Fig1GroupDetail {
   double cpu_t1_sample_seconds = 0;   // measured on this machine
   double cpu_t1_seconds = 0;          // scaled to the full batch
   double cpu_traffic_bytes = 0;
+  double memory_floor_seconds = 0;    // roofline DRAM-bandwidth floor
+  usize saturation_threads = 0;       // threads where the floor binds
   double cpu_56t_seconds = 0;
   pim::PimTimings pim;
   double speedup_total = 0;           // CPU 56t / PIM Total

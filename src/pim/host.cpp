@@ -184,7 +184,6 @@ PimBatchResult run_chunks(const BatchRun& run, ThreadPool* pool) {
   out.results.resize(run.simulated_records());
   std::vector<upmem::LaunchStats> launches(chunks);
   std::vector<std::vector<u64>> launch_cycles(chunks);
-  const KernelCosts costs = options.costs;
 
   // Stage bodies. Each touches only its chunk's slice of every DPU (chunk
   // 0's scatter also stages the headers), so stages of different chunks
@@ -213,7 +212,8 @@ PimBatchResult run_chunks(const BatchRun& run, ThreadPool* pool) {
           const usize begin = run.range_of(d).first;
           const auto [sb, se] = slice_of(d, c);
           return std::make_unique<WfaDpuKernel>(
-              costs, static_cast<u64>(sb - begin), static_cast<u64>(se - sb));
+              kDefaultKernelCosts, static_cast<u64>(sb - begin),
+              static_cast<u64>(se - sb));
         },
         tasklets, pool, &launch_cycles[c]);
   };

@@ -62,7 +62,6 @@ struct PimOptions {
   // over the logical system; transfers are accounted for the full virtual
   // batch. This is how the paper-scale 5M-pair runs stay tractable.
   usize virtual_total_pairs = 0;
-  KernelCosts costs = kDefaultKernelCosts;
 
   // --- long-pair tiling -------------------------------------------------
   // Split pairs that exceed a tasklet's WRAM share (sequence buffers) or

@@ -578,9 +578,6 @@ TEST_P(SimdDifferential, CpuSimdIsBitIdenticalToCpuAtEveryLevel) {
   ASSERT_EQ(cpu_result.results.size(), batch.size());
 
   std::vector<cpu::simd::SimdLevel> levels{cpu::simd::SimdLevel::kScalar};
-  if (cpu::simd::runtime_level() >= cpu::simd::SimdLevel::kSse42) {
-    levels.push_back(cpu::simd::SimdLevel::kSse42);
-  }
   if (cpu::simd::runtime_level() >= cpu::simd::SimdLevel::kAvx2) {
     levels.push_back(cpu::simd::SimdLevel::kAvx2);
   }

@@ -231,6 +231,16 @@ TEST(Hybrid, CalibratedSplitIsConsistentAndCompleteOnTinySystems) {
   EXPECT_DOUBLE_EQ(
       t.modeled_seconds,
       std::max(t.cpu_modeled_seconds, t.pim_modeled_seconds));
+
+  // A one-pair batch: the measuring calibration (no cpu_per_pair_seconds
+  // override) times a one-pair sample, and its per-pair cost stays finite.
+  ASSERT_EQ(options.cpu_per_pair_seconds, 0.0);
+  const seq::ReadPairSet one = small_batch(1);
+  const align::HybridBatchAligner::Plan single =
+      hybrid.plan(one, AlignmentScope::kFull);
+  EXPECT_EQ(single.cpu_pairs + single.pim_pairs, one.size());
+  EXPECT_TRUE(std::isfinite(single.cpu_per_pair_seconds));
+  EXPECT_GT(single.cpu_per_pair_seconds, 0.0);
 }
 
 // The acceptance-criteria configuration: paper-shaped and transfer-bound
@@ -292,13 +302,13 @@ TEST(Hybrid, SimdCalibrationTrafficMatchesTheSampledModel) {
   BatchOptions options = tiny_options();
   options.cpu_simd = true;
   ASSERT_EQ(options.cpu_per_pair_seconds, 0.0);
-  ASSERT_LT(options.hybrid_calibration_pairs, batch.size());
+  ASSERT_LT(align::HybridBatchAligner::kCalibrationPairs, batch.size());
   align::HybridBatchAligner hybrid(options);
   const align::HybridBatchAligner::Plan plan =
       hybrid.plan(batch, AlignmentScope::kFull);
 
-  const seq::ReadPairSpan sample =
-      seq::ReadPairSpan(batch).first(options.hybrid_calibration_pairs);
+  const seq::ReadPairSpan sample = seq::ReadPairSpan(batch).first(
+      align::HybridBatchAligner::kCalibrationPairs);
   const cpu::simd::SimdLevel level = cpu::simd::active_level();
   const cpu::simd::SpeedupModel model = cpu::simd::model_sample(
       sample, options.penalties, AlignmentScope::kFull, {}, level);
@@ -626,30 +636,6 @@ TEST(BatchOptions, ValidateRejectsBadFields) {
   options.pim_pipeline = true;
   EXPECT_NO_THROW(options.validate());
   EXPECT_NO_THROW(BatchOptions{}.validate());
-}
-
-// Regression: hybrid_calibration_pairs == 0 would divide the measured
-// sample time by zero - a NaN per-pair cost and a garbage split. It must
-// be rejected at every entry: validate(), the hybrid's constructor (the
-// registry path), and set_options().
-TEST(BatchOptions, ZeroCalibrationPairsIsRejectedEverywhere) {
-  BatchOptions options = tiny_options();
-  options.hybrid_calibration_pairs = 0;
-  EXPECT_THROW(options.validate(), InvalidArgument);
-  EXPECT_THROW(align::HybridBatchAligner{options}, InvalidArgument);
-  align::HybridBatchAligner hybrid(tiny_options());
-  EXPECT_THROW(hybrid.set_options(options), InvalidArgument);
-  // The calibrated (measuring, non-override) path still works with the
-  // minimum legal value.
-  options.hybrid_calibration_pairs = 1;
-  options.cpu_per_pair_seconds = 0;  // force a real measurement
-  align::HybridBatchAligner minimal(options);
-  const seq::ReadPairSet batch = small_batch(24);
-  const align::HybridBatchAligner::Plan plan =
-      minimal.plan(batch, AlignmentScope::kFull);
-  EXPECT_EQ(plan.cpu_pairs + plan.pim_pairs, batch.size());
-  EXPECT_TRUE(std::isfinite(plan.cpu_per_pair_seconds));
-  EXPECT_GT(plan.cpu_per_pair_seconds, 0.0);
 }
 
 }  // namespace

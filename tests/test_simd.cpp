@@ -36,20 +36,18 @@ using cpu::simd::SimdStats;
 // the suite exercises whatever the CI matrix leg compiled in.
 std::vector<SimdLevel> available_levels() {
   std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (cpu::simd::runtime_level() >= SimdLevel::kSse42)
-    levels.push_back(SimdLevel::kSse42);
   if (cpu::simd::runtime_level() >= SimdLevel::kAvx2)
     levels.push_back(SimdLevel::kAvx2);
   return levels;
 }
 
 TEST(SimdDispatch, LevelNamesRoundTrip) {
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     EXPECT_EQ(cpu::simd::parse_level(cpu::simd::level_name(level)), level);
   }
   EXPECT_THROW(cpu::simd::parse_level("avx512"), InvalidArgument);
   EXPECT_THROW(cpu::simd::parse_level(""), InvalidArgument);
+  EXPECT_THROW(cpu::simd::parse_level("sse42"), InvalidArgument);
 }
 
 TEST(SimdDispatch, LevelsAreOrdered) {
@@ -61,13 +59,11 @@ TEST(SimdDispatch, LevelsAreOrdered) {
               level);
   }
   EXPECT_THROW(cpu::simd::resolve_forced_level("turbo"), InvalidArgument);
+  EXPECT_THROW(cpu::simd::resolve_forced_level("sse42"), InvalidArgument);
 }
 
 TEST(SimdDispatch, LaneWidthsMatchTheDesign) {
   EXPECT_EQ(cpu::simd::lane_width(SimdLevel::kScalar), 1u);
-  if (cpu::simd::compiled_level() >= SimdLevel::kSse42) {
-    EXPECT_EQ(cpu::simd::lane_width(SimdLevel::kSse42), 4u);
-  }
   if (cpu::simd::compiled_level() >= SimdLevel::kAvx2) {
     EXPECT_EQ(cpu::simd::lane_width(SimdLevel::kAvx2), 8u);
   }
@@ -501,7 +497,7 @@ TEST(SimdBackend, OverrideProjectionMatchesTheSampledModel) {
   const double n = static_cast<double>(batch.size());
   const double t1 = options.cpu_per_pair_seconds * n / model.speedup;
   const double expected = cpu::project_batch_seconds_traffic(
-      cpu::CpuSystemModel{}, t1, model.traffic_bytes_per_pair * n, 0);
+      cpu::CpuSystemModel{}, t1, model.traffic_bytes_per_pair * n);
   EXPECT_EQ(result.timings.modeled_seconds, expected);
   EXPECT_EQ(result.timings.cpu_modeled_seconds, expected);
 }
