@@ -79,9 +79,7 @@ int main(int argc, char** argv) {
   align::BatchOptions options;
   options.pim_dpus = 0;  // the paper's 2560-DPU system
   options.pim_tasklets = tasklets;
-  options.pim_simulate_dpus = sim_dpus;
   options.pim_pipeline = pipeline;
-  options.virtual_pairs = modeled_pairs;
   options.cpu_per_pair_seconds = cpu_t1;
   options.cpu_simd = cpu_simd;
 
@@ -90,7 +88,7 @@ int main(int argc, char** argv) {
             << sim_dpus << " of " << system.nr_dpus()
             << " DPUs simulated)\n\n";
 
-  align::HybridBatchAligner hybrid(options);
+  align::HybridBatchAligner hybrid(options, {modeled_pairs, sim_dpus});
   const align::BatchResult result = hybrid.run(batch, scope);
   const align::BatchTimings& t = result.timings;
   const double best_alone = std::min(t.cpu_alone_seconds, t.pim_alone_seconds);
@@ -124,10 +122,18 @@ int main(int argc, char** argv) {
 
   // Bit-identity: the hybrid's materialized prefix (the simulated DPUs'
   // share of its PIM side) must equal the pure PIM backend on the same
-  // pairs.
-  align::BatchOptions pim_options = options;
+  // pairs. Both sides must materialize something, or the check is vacuous.
+  pim::PimOptions pim_options = pim::PimOptions::from(options);
+  pim_options.virtual_total_pairs = modeled_pairs;
+  pim_options.simulate_dpus = sim_dpus;
   const align::BatchResult reference =
-      align::backend_registry().create("pim", pim_options)->run(batch, scope);
+      pim::PimBatchAligner(pim_options).run(batch, scope);
+  if (result.results.empty() || reference.results.empty()) {
+    std::cerr << "hybrid: nothing to verify - the hybrid materialized "
+              << result.results.size() << " results and the pim backend "
+              << reference.results.size() << "\n";
+    return 1;
+  }
   const usize verified =
       std::min(result.results.size(), reference.results.size());
   for (usize i = 0; i < verified; ++i) {
@@ -143,19 +149,14 @@ int main(int argc, char** argv) {
   // --- sharded zero-copy run --------------------------------------------
   // The engine path: the materialized batch carved into O(1) sub-views and
   // kept in flight concurrently against one hybrid backend (whose
-  // calibration cache makes the per-shard probes one-time). run_sharded
-  // needs fully materialized batches, so this section runs the hybrid on a
-  // small fully-simulated system instead of the virtual paper system.
+  // calibration cache makes the per-shard probes one-time). Every shard
+  // must materialize in full to compare with the unsharded run, so this
+  // section runs a registry-built hybrid on a small fully-simulated system
+  // instead of the virtual paper system.
   align::BatchOptions sharded_options = options;
-  sharded_options.virtual_pairs = 0;
-  sharded_options.pim_simulate_dpus = 0;
   sharded_options.pim_dpus = 64;
-  align::BatchEngineOptions engine_options;
-  engine_options.backend = "hybrid";
-  engine_options.batch = sharded_options;
-  engine_options.max_in_flight = 2;
-  engine_options.workers = 2;
-  align::BatchEngine engine(engine_options);
+  align::BatchEngine engine(
+      align::backend_registry().create("hybrid", sharded_options), 2, 2);
   const align::BatchResult sharded = engine.run_sharded(batch, scope, 4);
   const align::BatchResult unsharded =
       align::backend_registry().create("hybrid", sharded_options)

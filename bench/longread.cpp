@@ -10,6 +10,13 @@
 //     stitched back; see pim/tiling.hpp), and
 //   - the measured host time of planning those segments on a pool of
 //     hardware_concurrency() workers (tile_plan_seconds; ungated).
+//
+// A second table (the paper's stated future work, longer reads) runs the
+// untiled PIM kernel from 100 bases to 100k at E=2% and a constant 160k
+// bases per DPU: the largest tasklet count whose WRAM buffers still fit
+// untiled, kernel time, bases/s/DPU and cells/pair, next to the host
+// kUltralow peak of the same pairs. Its JSON keys carry an untiled_
+// prefix.
 #include <algorithm>
 #include <iostream>
 #include <thread>
@@ -26,8 +33,116 @@
 #include "seq/generator.hpp"
 #include "wfa/wfa_aligner.hpp"
 
+using namespace pimwfa;
+
+namespace {
+
+// Read-length scaling of the untiled PIM kernel, with tiling off on
+// purpose so the WRAM wall stays visible (the tiled rows are the unlock).
+void untiled_table(usize max_length, BenchReport& report) {
+  constexpr double kErrorRate = 0.02;
+  constexpr usize kBasesPerDpu = 160'000;  // pairs = bases / length
+  report.set_param("untiled_error_rate", kErrorRate);
+  report.set_param("untiled_bases_per_dpu", static_cast<i64>(kBasesPerDpu));
+
+  std::cout << "\nUntiled PIM kernel by read length (E=" << kErrorRate * 100
+            << "%, constant " << with_commas(kBasesPerDpu)
+            << " bases/DPU)\n\n";
+  std::cout << strprintf("  %-8s %-7s %-9s %14s %16s %14s\n", "length",
+                         "pairs", "tasklets", "kernel", "bases/s/DPU",
+                         "cells/pair");
+  std::cout << "  " << std::string(74, '-') << "\n";
+
+  for (const usize length :
+       {100u, 250u, 500u, 1000u, 2000u, 4000u, 10'000u, 100'000u}) {
+    if (length > max_length) continue;
+    const usize pairs = std::max<usize>(kBasesPerDpu / length, 1);
+    seq::GeneratorConfig gen;
+    gen.pairs = pairs;
+    gen.read_length = length;
+    gen.error_rate = kErrorRate;
+    gen.seed = 0x1E4 + length;
+    const seq::ReadPairSet batch = seq::generate_dataset(gen);
+
+    // Cap the score at what an E-bounded workload can reach (plus slack);
+    // the worst case over 4000bp would blow the descriptor table.
+    const usize errors = seq::errors_for(length, kErrorRate);
+    const align::Penalties penalties = align::Penalties::defaults();
+    const u64 cap = 8 * static_cast<u64>(errors + 4) *
+                    static_cast<u64>(std::max(
+                        penalties.mismatch,
+                        penalties.gap_open + penalties.gap_extend));
+
+    // Long reads need big WRAM buffers: halve the tasklet count until the
+    // untiled run fits (the paper's deployment constraint).
+    for (usize tasklets = 24; tasklets >= 1; tasklets /= 2) {
+      pim::PimOptions options;
+      options.system = upmem::SystemConfig::tiny(1);
+      options.nr_tasklets = tasklets;
+      options.max_score = cap;
+      options.tile_long_pairs = false;
+      try {
+        pim::PimBatchAligner aligner(options);
+        const pim::PimBatchResult result =
+            aligner.align_batch(batch, align::AlignmentScope::kFull);
+        const double seconds = result.timings.kernel_seconds;
+        const double bases_per_s =
+            static_cast<double>(pairs) * static_cast<double>(length) / seconds;
+        report.add_metric(strprintf("untiled_kernel_seconds_len%zu", length),
+                          seconds, "s");
+        report.add_metric(strprintf("untiled_bases_per_second_len%zu", length),
+                          bases_per_s, "bases/s");
+        report.add_metric(strprintf("untiled_tasklets_len%zu", length),
+                          static_cast<double>(tasklets));
+        const u64 cells =
+            result.timings.work.instructions / std::max<u64>(pairs, 1);
+        const std::string rate = with_commas(static_cast<u64>(bases_per_s));
+        std::cout << strprintf("  %-8zu %-7zu %-9zu %14s %16s %14s\n", length,
+                               pairs, tasklets,
+                               format_seconds(seconds).c_str(), rate.c_str(),
+                               with_commas(cells).c_str());
+        break;
+      } catch (const Error&) {
+        // Untiled run rejected (WRAM/arena shortfall); try fewer tasklets.
+        if (tasklets == 1) {
+          std::cout << strprintf("  %-8zu %-7zu %s\n", length, pairs,
+                                 "does not fit untiled even with 1 tasklet");
+          break;
+        }
+      }
+    }
+
+    // The same pairs under kUltralow on the host: lengths the untiled
+    // kernel cannot host at all still get a peak.
+    wfa::WfaAligner::Options ultra_options;
+    ultra_options.penalties = penalties;
+    ultra_options.memory_mode = wfa::WfaAligner::MemoryMode::kUltralow;
+    wfa::WfaAligner ultra(ultra_options);
+    WallTimer ultra_timer;
+    for (usize i = 0; i < batch.size(); ++i) {
+      ultra.align(batch[i].pattern, batch[i].text,
+                  align::AlignmentScope::kFull);
+    }
+    const double ultra_seconds = ultra_timer.seconds();
+    const u64 peak = ultra.counters().peak_wavefront_bytes;
+    report.add_metric(
+        strprintf("untiled_peak_wavefront_bytes_len%zu", length),
+        static_cast<double>(peak), "bytes");
+    report.add_metric(strprintf("untiled_ultralow_seconds_len%zu", length),
+                      ultra_seconds, "s");
+    std::cout << strprintf("  %-8s ultralow: peak %s wavefront bytes, %s\n",
+                           "", with_commas(peak).c_str(),
+                           format_seconds(ultra_seconds).c_str());
+  }
+  std::cout << "\nWFA work grows with the score (O(s^2) cells + O(n)"
+               " extension), and WRAM buffer\npressure cuts the feasible"
+               " tasklet count for long reads - the reason the paper\n"
+               "lists longer reads as future work.\n";
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace pimwfa;
   Cli cli(argc, argv);
   cli.set_description("Long-read scaling: kUltralow memory + tiled PIM");
   const double error_rate = cli.get_double(
@@ -146,6 +261,8 @@ int main(int argc, char** argv) {
                "bounded recursion base)\nwhile kHigh retains O(s^2); the "
                "tiled PIM path splits pairs at on-path breakpoints\nso "
                "arbitrarily long reads fit per-tasklet WRAM/MRAM shares.\n";
+
+  untiled_table(max_length, report);
   if (!json.empty()) {
     report.write(json);
     std::cout << "BenchReport written to " << json << "\n";

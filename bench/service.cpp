@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "align/cli.hpp"
+#include "align/registry.hpp"
 #include "align/service.hpp"
 #include "common/bench_report.hpp"
 #include "common/cli.hpp"
@@ -67,9 +68,10 @@ int main(int argc, char** argv) {
   const usize shards =
       std::max<usize>(1, (workload.size() + batch_pairs - 1) / batch_pairs);
 
+  const auto make_backend = [&] {
+    return align::backend_registry().create(flags.backend, flags.options);
+  };
   align::ServiceOptions service_options;
-  service_options.engine.backend = flags.backend;
-  service_options.engine.batch = flags.options;
   service_options.engine.max_in_flight = max_in_flight;
   service_options.engine.workers = workers;
   service_options.scope = flags.scope();
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
     // --- one-shot reference: run_sharded over the materialized set -------
     double rep_sharded_seconds = 0;
     {
-      align::BatchEngine engine(service_options.engine);
+      align::BatchEngine engine(make_backend(), max_in_flight, workers);
       WallTimer timer;
       align::BatchResult result = engine.run_sharded(
           seq::ReadPairSpan(workload), flags.scope(), shards);
@@ -123,7 +125,7 @@ int main(int argc, char** argv) {
       }
       requests.back().push_back(pair);
     }
-    align::AlignService service(service_options);
+    align::AlignService service(make_backend(), service_options);
     std::vector<align::RequestHandle> handles;
     handles.reserve(requests.size());
     WallTimer timer;

@@ -8,6 +8,7 @@
 //   ./build/bin/pim_batch_align --backend=pim --pipeline --chunks 4
 //   ./build/bin/pim_batch_align --backend=hybrid
 #include <iostream>
+#include <memory>
 
 #include "align/cli.hpp"
 #include "align/registry.hpp"
@@ -44,6 +45,15 @@ int main(int argc, char** argv) {
     std::cout << cli.help();
     return 0;
   }
+  // The backend validates its options here (e.g. --tasklets against the
+  // DPU's range); a rejected value is a usage error like a malformed flag.
+  std::unique_ptr<align::BatchAligner> backend;
+  try {
+    backend = align::backend_registry().create(flags.backend, flags.options);
+  } catch (const Error& error) {
+    std::cerr << "pim_batch_align: " << error.what() << "\n";
+    return 2;
+  }
 
   const seq::ReadPairSet batch =
       seq::fig1_dataset(flags.pairs, flags.error_rate);
@@ -52,8 +62,6 @@ int main(int argc, char** argv) {
             << "%) on backend '" << flags.backend << "'\n\n";
 
   ThreadPool pool(4);
-  const auto backend =
-      align::backend_registry().create(flags.backend, flags.options);
   // Zero-copy hand-off: the backend reads the pairs through a view.
   const align::BatchResult result =
       backend->run(seq::ReadPairSpan(batch), flags.scope(), &pool);

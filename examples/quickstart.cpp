@@ -7,6 +7,7 @@
 //   ./build/bin/quickstart --backend=hybrid
 //   ./build/bin/quickstart --backend=pim --pipeline --pairs 2048
 #include <iostream>
+#include <memory>
 
 #include "align/cli.hpp"
 #include "align/registry.hpp"
@@ -48,6 +49,17 @@ int main(int argc, char** argv) {
     std::cout << cli.help();
     return 0;
   }
+  // Every execution backend (CPU baseline, PIM variants, the hybrid
+  // CPU+PIM split) implements align::BatchAligner; pick one by name. It
+  // validates its options here (e.g. --tasklets against the DPU's range),
+  // so a rejected value is a usage error like a malformed flag.
+  std::unique_ptr<align::BatchAligner> backend;
+  try {
+    backend = align::backend_registry().create(flags.backend, flags.options);
+  } catch (const Error& error) {
+    std::cerr << "quickstart: " << error.what() << "\n";
+    return 2;
+  }
 
   const std::string pattern = !cli.positional().empty()
                                   ? cli.positional()[0]
@@ -83,8 +95,6 @@ int main(int argc, char** argv) {
   if (reference.score != result.score) return 1;
 
   // --- part 2: a batch through the backend registry ---------------------
-  // Every execution backend (CPU baseline, PIM variants, the hybrid
-  // CPU+PIM split) implements align::BatchAligner; pick one by name.
   std::cout << "\nbatch   : " << with_commas(flags.pairs) << " pairs ("
             << flags.read_length << "bp, E=" << flags.error_rate * 100
             << "%) on backend '" << flags.backend << "'\n";
@@ -95,8 +105,6 @@ int main(int argc, char** argv) {
   gen.seed = flags.seed;
   const seq::ReadPairSet batch = seq::generate_dataset(gen);
 
-  const auto backend =
-      align::backend_registry().create(flags.backend, flags.options);
   // Backends take a non-owning seq::ReadPairSpan view of the batch (an
   // owning ReadPairSet converts implicitly): sub-batches - the hybrid
   // split, engine shards, calibration samples - are carved in O(1)

@@ -9,7 +9,7 @@
 //   ./build/bin/read_mapper
 //   ./build/bin/read_mapper --genome 200000 --reads 2000 --error-rate 0.03
 //   ./build/bin/read_mapper --backend=hybrid --filter=false
-//   ./build/bin/read_mapper --reference genome.fa --engine-shards 4
+//   ./build/bin/read_mapper --reference genome.fa --backend=cpu-simd
 #include <iostream>
 #include <vector>
 
@@ -45,10 +45,6 @@ int main(int argc, char** argv) {
         "filter", true, "Myers pre-filter (false = brute-force verify)");
     options.both_strands =
         cli.get_bool("both-strands", true, "seed the reverse complement too");
-    options.engine_shards = static_cast<usize>(cli.get_int(
-        "engine-shards", 0,
-        "verify through the async BatchEngine in this many shards (0 = "
-        "direct backend run)"));
     reference_path = cli.get_string(
         "reference", "", "FASTA reference (default: synthetic genome)");
     ref_config.length = static_cast<usize>(

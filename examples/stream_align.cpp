@@ -17,6 +17,7 @@
 //   ./stream_align --pairs 20000 --request 32 --batch-pairs 2048
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -141,14 +142,22 @@ int main(int argc, char** argv) {
 
   // --- service ------------------------------------------------------------
   align::ServiceOptions service_options;
-  service_options.engine.backend = flags.backend;
-  service_options.engine.batch = flags.options;
   service_options.scope = flags.scope();
   service_options.max_batch_pairs = batch_pairs;
   service_options.max_batch_delay = std::chrono::milliseconds(batch_delay_ms);
   service_options.max_queued_pairs = queue_pairs;
   service_options.arenas = arenas;
-  align::AlignService service(service_options);
+  std::unique_ptr<align::AlignService> service;
+  try {
+    // The backend and the service validate their options here; a rejected
+    // value is a usage error like a malformed flag.
+    service = std::make_unique<align::AlignService>(
+        align::backend_registry().create(flags.backend, flags.options),
+        service_options);
+  } catch (const Error& error) {
+    std::cerr << "stream_align: " << error.what() << "\n";
+    return 2;
+  }
 
   std::cout << "Streaming " << (input.empty() ? "<synthetic>" : input)
             << " (" << format << ") through AlignService [backend="
@@ -173,7 +182,7 @@ int main(int argc, char** argv) {
     ingested_pairs += request.size();
     // submit_wait blocks here when the service is at its watermark:
     // ingest stalls instead of growing resident memory.
-    handles.push_back(service.submit_wait(std::move(request)));
+    handles.push_back(service->submit_wait(std::move(request)));
     request.clear();
     request.reserve(request_pairs);
   };
@@ -238,7 +247,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   submit();  // the partial tail request
-  service.flush();
+  service->flush();
 
   // --- gather -------------------------------------------------------------
   usize resolved_pairs = 0;
@@ -277,7 +286,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const align::ServiceStats stats = service.stats();
+  const align::ServiceStats stats = service->stats();
   std::cout << "  " << with_commas(resolved_pairs) << " pairs in "
             << with_commas(handles.size()) << " requests, "
             << with_commas(stats.batches) << " batches (score sum "

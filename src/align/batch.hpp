@@ -70,17 +70,7 @@ struct BatchOptions {
   bool pim_packed = false;    // 2-bit packed host<->MRAM transfers
   bool pim_pipeline = false;  // overlap scatter/kernel/gather across chunks
   usize pim_pipeline_chunks = 0;  // 0 = planner; nonzero needs pim_pipeline
-  // Functionally simulate only this many DPUs (0 = all); the rest
-  // contribute modeled transfer/kernel time only.
-  usize pim_simulate_dpus = 0;
   u64 pim_max_score = 0;  // per-batch score cap (0 = worst case)
-
-  // --- batch modeling ----------------------------------------------------
-  // Model a batch of this many pairs while materializing only the pairs
-  // actually present in the input (which must be a prefix of the virtual
-  // batch). 0 = the input is the whole workload. This is how paper-scale
-  // runs stay tractable; see PimOptions::virtual_total_pairs.
-  usize virtual_pairs = 0;
 
   // --- hybrid backend ----------------------------------------------------
   // Fraction of the batch routed to the CPU. Negative = calibrate from
@@ -103,7 +93,7 @@ struct BatchTimings {
   // backends, max(cpu share, pim share) for the hybrid split.
   double modeled_seconds = 0;
 
-  usize pairs = 0;         // modeled batch size (virtual when set)
+  usize pairs = 0;         // modeled batch size (>= materialized)
   usize materialized = 0;  // pairs with results (a prefix of the batch)
 
   // CPU-side detail (cpu + hybrid backends).
@@ -151,7 +141,8 @@ struct BatchTimings {
 struct BatchResult {
   // Results for pairs [0, results.size()), a contiguous prefix of the
   // input batch: the whole batch unless the backend simulates only part
-  // of the system (pim_simulate_dpus / virtual_pairs).
+  // of the system (PimOptions::simulate_dpus, or a hybrid built with a
+  // VirtualBatch).
   std::vector<AlignmentResult> results;
   BatchTimings timings;
   std::string backend;  // registry key of the backend that ran

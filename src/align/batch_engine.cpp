@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "align/registry.hpp"
 #include "common/check.hpp"
 #include "common/timer.hpp"
 
@@ -32,12 +31,6 @@ std::future<BatchResult> submit_for_future(
 }
 
 }  // namespace
-
-BatchEngine::BatchEngine(BatchEngineOptions options)
-    : BatchEngine(backend_registry().create(options.backend, options.batch),
-                  options.max_in_flight, options.workers) {
-  backend_virtual_pairs_ = options.batch.virtual_pairs;
-}
 
 BatchEngine::BatchEngine(std::unique_ptr<BatchAligner> backend,
                          usize max_in_flight, usize workers)
@@ -114,10 +107,6 @@ std::future<BatchResult> BatchEngine::submit(seq::ReadPairSet&& batch,
 BatchResult BatchEngine::run_sharded(seq::ReadPairSpan batch,
                                      AlignmentScope scope, usize shards) {
   PIMWFA_ARG_CHECK(shards >= 1, "need at least one shard");
-  PIMWFA_ARG_CHECK(backend_virtual_pairs_ == 0,
-                   "run_sharded needs fully materialized batches; the "
-                   "backend was configured with virtual_pairs="
-                       << backend_virtual_pairs_);
   batch.check_valid();
   WallTimer timer;
   const std::vector<std::pair<usize, usize>> ranges =
@@ -165,8 +154,9 @@ BatchResult BatchEngine::run_sharded(seq::ReadPairSpan batch,
   out.results.reserve(batch.size());
   // Input-order merge: shards are contiguous slices in submission order,
   // and each shard's results are a prefix of its slice. A partially
-  // materialized shard (pim_simulate_dpus) ends the merged prefix there -
-  // appending later shards would misalign results with input indices.
+  // materialized shard (PimOptions::simulate_dpus) ends the merged prefix
+  // there - appending later shards would misalign results with input
+  // indices.
   bool contiguous = true;
   for (usize shard_index = 0; shard_index < completed.size(); ++shard_index) {
     BatchResult& shard = completed[shard_index];

@@ -1,4 +1,4 @@
-// Asynchronous batch-submission front-end over any registered backend.
+// Asynchronous batch-submission front-end over any batch backend.
 //
 // A BatchEngine owns one backend instance plus two long-lived thread
 // pools: a dispatcher (one worker per in-flight batch) and a shared
@@ -12,9 +12,10 @@
 // large batch into shards, keep them all in flight, and merge the
 // per-shard results back in input order.
 //
-// Lifecycle: construct (backend resolved through the registry by name) ->
-// submit()/run_sharded() freely from any thread -> wait_idle() or let the
-// destructor drain in-flight batches (running their completions).
+// Lifecycle: construct over a built backend (e.g. one from
+// backend_registry().create) -> submit()/run_sharded() freely from any
+// thread -> wait_idle() or let the destructor drain in-flight batches
+// (running their completions).
 #pragma once
 
 #include <atomic>
@@ -28,9 +29,9 @@
 
 namespace pimwfa::align {
 
+// The engine constructor's sizing arguments, bundled for AlignService
+// (ServiceOptions::engine).
 struct BatchEngineOptions {
-  std::string backend = "cpu";  // registry key
-  BatchOptions batch;
   // Concurrently executing batches (dispatcher workers).
   usize max_in_flight = 2;
   // Shared worker pool passed to every backend run (0 = none: backends
@@ -40,10 +41,8 @@ struct BatchEngineOptions {
 
 class BatchEngine {
  public:
-  // Resolves `options.backend` through backend_registry(); throws
-  // InvalidArgument for an unknown name.
-  explicit BatchEngine(BatchEngineOptions options);
-  // Injects a caller-built backend (tests, custom backends).
+  // Takes ownership of `backend`; throws InvalidArgument for a null
+  // backend or max_in_flight == 0.
   BatchEngine(std::unique_ptr<BatchAligner> backend, usize max_in_flight = 2,
               usize workers = 2);
   // Drains in-flight batches before tearing the pools down.
@@ -93,10 +92,9 @@ class BatchEngine {
   // (in flight together up to max_in_flight), and merge the results back
   // in input order. Modeled times add up across shards - the shards
   // occupy the same modeled hardware back to back - while wall time
-  // reflects the overlapped simulation. Requires fully materialized
-  // batches: throws InvalidArgument when the engine's backend was
-  // configured with virtual_pairs (a virtual batch cannot be cut into
-  // uniform shards).
+  // reflects the overlapped simulation. A backend that materializes only
+  // a prefix of a shard (a partially simulated pim::PimBatchAligner) ends
+  // the merged results at that shard's last result.
   //
   // Error path: every in-flight shard is drained before an error is
   // rethrown (first one wins, like ThreadPool::parallel_for) - a failing
@@ -124,9 +122,6 @@ class BatchEngine {
 
  private:
   std::unique_ptr<BatchAligner> backend_;
-  // Nonzero when the registry-constructed backend models virtual batches
-  // (unknowable for injected backends); run_sharded refuses those.
-  usize backend_virtual_pairs_ = 0;
   // Relaxed atomics (see in_flight()/submitted()): incremented together
   // in submit() before the dispatcher hand-off, decremented by the task
   // after its completion ran - possibly before submit() even returns.

@@ -34,9 +34,6 @@ BatchFlags parse_batch_flags(Cli& cli, const BatchFlags& defaults) {
   o.pim_pipeline_chunks = static_cast<usize>(
       cli.get_int("chunks", static_cast<i64>(d.pim_pipeline_chunks),
                   "pipeline chunk count (0 = planner; needs --pipeline)"));
-  o.pim_simulate_dpus = static_cast<usize>(
-      cli.get_int("sim-dpus", static_cast<i64>(d.pim_simulate_dpus),
-                  "DPUs simulated functionally (0 = all)"));
   o.hybrid_cpu_fraction =
       cli.get_double("cpu-fraction", d.hybrid_cpu_fraction,
                      "hybrid CPU share (negative = calibrate)");

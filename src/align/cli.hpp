@@ -33,9 +33,11 @@ struct BatchFlags {
 // Registers the shared flags on `cli` (so they appear in --help) and
 // parses them, with `defaults` filling every absent flag. Flags:
 //   --backend --threads --mismatch --gap-open --gap-extend
-//   --dpus --tasklets --packed --pipeline --chunks --sim-dpus
-//   --cpu-fraction --cpu-simd --simd-threshold
+//   --dpus --tasklets --packed --pipeline --chunks
+//   --cpu-fraction --cpu-simd --simd-threshold --memory
 //   --pairs --read-length --error-rate --seed --score-only
+// Backends built from the result simulate every DPU (paper-scale virtual
+// batches are the benches' own, see align::VirtualBatch).
 // Throws InvalidArgument when --backend names an unregistered backend.
 BatchFlags parse_batch_flags(Cli& cli, const BatchFlags& defaults = {});
 

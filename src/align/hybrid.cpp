@@ -16,8 +16,8 @@
 
 namespace pimwfa::align {
 
-HybridBatchAligner::HybridBatchAligner(BatchOptions options)
-    : options_(std::move(options)) {
+HybridBatchAligner::HybridBatchAligner(BatchOptions options, VirtualBatch shape)
+    : options_(std::move(options)), shape_(shape) {
   options_.validate();
 }
 
@@ -91,6 +91,8 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
   // (pim_alone_seconds then stays 0 in the plan and timings).
   if (forced < 0) {
     pim::PimOptions probe = pim::PimOptions::from(options_);
+    probe.simulate_dpus = shape_.simulate_dpus;
+    probe.virtual_total_pairs = shape_.pairs;
     if (pim::PimBatchAligner(probe).needs_tiling(batch, scope)) {
       // Long pairs tile across every DPU, so the virtual-prefix /
       // single-simulated-DPU probe below cannot represent the run (and
@@ -140,9 +142,8 @@ HybridBatchAligner::Plan HybridBatchAligner::plan(seq::ReadPairSpan batch,
   batch.check_valid();
   Plan out;
   const usize materialized = batch.size();
-  out.pairs = options_.virtual_pairs != 0
-                  ? std::max(options_.virtual_pairs, materialized)
-                  : materialized;
+  out.pairs = shape_.pairs != 0 ? std::max(shape_.pairs, materialized)
+                                : materialized;
   if (out.pairs == 0) return out;
   PIMWFA_ARG_CHECK(materialized > 0,
                    "hybrid calibration needs materialized pairs");
@@ -197,7 +198,7 @@ BatchResult HybridBatchAligner::run(seq::ReadPairSpan batch,
   BatchResult out;
   out.backend = name();
   const usize materialized = batch.size();
-  if (materialized == 0 && options_.virtual_pairs == 0) return out;
+  if (materialized == 0 && shape_.pairs == 0) return out;
 
   const Plan split = plan(batch, scope, pool);
   BatchTimings& t = out.timings;
@@ -214,6 +215,7 @@ BatchResult HybridBatchAligner::run(seq::ReadPairSpan batch,
   if (split.pim_pairs > 0) {
     pim_materialized = std::min(materialized, split.pim_pairs);
     pim::PimOptions pim_options = pim::PimOptions::from(options_);
+    pim_options.simulate_dpus = shape_.simulate_dpus;
     pim_options.virtual_total_pairs =
         split.pim_pairs > pim_materialized ? split.pim_pairs : 0;
     pim::PimBatchAligner pim_side(pim_options);

@@ -14,10 +14,10 @@
 // Split layout: the PIM side takes the virtual prefix [0, pim_pairs) and
 // the CPU side the suffix [pim_pairs, n). A prefix for the PIM side keeps
 // its virtual-batch machinery intact (materialized pairs must prefix the
-// virtual batch), so the hybrid composes with simulate_dpus /
-// virtual_pairs scaling as well as with the packed and pipelined PIM
-// variants. Both shares are O(1) sub-views of the input span - the split
-// itself moves zero bases.
+// virtual batch), so the hybrid composes with a paper-scale VirtualBatch
+// (below) as well as with the packed and pipelined PIM variants. Both
+// shares are O(1) sub-views of the input span - the split itself moves
+// zero bases.
 //
 // Calibration caching: the CPU sample and the 1-DPU PIM probe are paid
 // once per batch configuration (shape + scope), not once per run. The
@@ -37,9 +37,22 @@
 
 namespace pimwfa::align {
 
+// The paper-scale shape of the batches a hybrid models: `pairs` modeled
+// pairs (0 = the input is the whole batch), of which the input holds a
+// prefix, with only the first `simulate_dpus` DPUs of the PIM share
+// functionally simulated (0 = all; see pim::PimOptions). A hybrid with a
+// nonzero shape may return results for a prefix of its input only, which
+// is why the registry never builds one: it is a bench and model
+// instrument. Declared at namespace scope so that it can default a
+// constructor argument of HybridBatchAligner.
+struct VirtualBatch {
+  usize pairs = 0;
+  usize simulate_dpus = 0;
+};
+
 class HybridBatchAligner final : public BatchAligner {
  public:
-  explicit HybridBatchAligner(BatchOptions options);
+  explicit HybridBatchAligner(BatchOptions options, VirtualBatch shape = {});
 
   // Pairs sampled for the CPU-side calibration measurement (and for the
   // tiled PIM probe of long-pair batches).
@@ -47,7 +60,7 @@ class HybridBatchAligner final : public BatchAligner {
 
   // The calibrated split and the modeled alone-times it derives from.
   struct Plan {
-    usize pairs = 0;      // modeled batch size (virtual when configured)
+    usize pairs = 0;      // modeled batch size (the VirtualBatch's, if set)
     usize cpu_pairs = 0;  // virtual suffix routed to the CPU
     usize pim_pairs = 0;  // virtual prefix routed to the PIM side
     double cpu_fraction = 0;
@@ -85,8 +98,8 @@ class HybridBatchAligner final : public BatchAligner {
   // What makes two batches share a calibration: the modeled batch size,
   // how much of it is materialized (bounds the CPU sample and the probe's
   // input), the per-pair MRAM slot geometry (max sequence lengths) and
-  // the alignment scope. Options are not part of the key because the
-  // cache is per-instance and the options are fixed at construction.
+  // the alignment scope. Options and shape are not part of the key
+  // because the cache is per-instance and both are fixed at construction.
   //
   // The key is deliberately shape-only: a calibration is a model
   // *estimate*, and same-shape batches are assumed workload-homogeneous
@@ -118,6 +131,7 @@ class HybridBatchAligner final : public BatchAligner {
       PIMWFA_REQUIRES(cache_mutex_);
 
   const BatchOptions options_;
+  const VirtualBatch shape_;
   mutable Mutex cache_mutex_;
   mutable std::map<CalibrationKey, Calibration> cache_
       PIMWFA_GUARDED_BY(cache_mutex_);

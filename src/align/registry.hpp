@@ -2,9 +2,11 @@
 //
 // Every execution backend (CPU baseline, SIMD CPU, PIM, the hybrid
 // dispatcher) registers a factory under a stable name; examples, benches
-// and the BatchEngine construct backends by that name, which is what a
-// common `--backend=` flag resolves against. The built-in backends are
-// registered on first use of backend_registry():
+// and the read mapper construct backends by that name, which is what a
+// common `--backend=` flag resolves against, and hand them to the
+// BatchEngine or AlignService to drive. Every backend the registry builds
+// is fully simulated and returns a result for every pair. The built-in
+// backends are registered on first use of backend_registry():
 //
 //   cpu       multi-threaded host WFA, roofline-projected
 //   cpu-simd  host WFA through the SIMD layer, bit-identical to cpu

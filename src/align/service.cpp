@@ -26,16 +26,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// Requests are slices of their batch's results, so the registry-built
-// backend must materialize every pair it is given.
-const BatchEngineOptions& materializing(const BatchEngineOptions& engine) {
-  PIMWFA_ARG_CHECK(engine.batch.virtual_pairs == 0,
-                   "AlignService needs engine.batch.virtual_pairs == 0");
-  PIMWFA_ARG_CHECK(engine.batch.pim_simulate_dpus == 0,
-                   "AlignService needs engine.batch.pim_simulate_dpus == 0");
-  return engine;
-}
-
 }  // namespace
 
 void ServiceOptions::validate() const {
@@ -54,22 +44,12 @@ bool RequestHandle::cancel() noexcept {
   return true;
 }
 
-AlignService::AlignService(ServiceOptions options)
-    : options_(std::move(options)),
-      engine_(std::make_unique<BatchEngine>(materializing(options_.engine))) {
-  start();
-}
-
 AlignService::AlignService(std::unique_ptr<BatchAligner> backend,
                            ServiceOptions options)
     : options_(std::move(options)),
       engine_(std::make_unique<BatchEngine>(std::move(backend),
                                             options_.engine.max_in_flight,
                                             options_.engine.workers)) {
-  start();
-}
-
-void AlignService::start() {
   options_.validate();
   const usize arena_count =
       options_.arenas ? options_.arenas : options_.engine.max_in_flight + 1;

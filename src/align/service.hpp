@@ -60,8 +60,8 @@ class DeadlineExpired : public Error {
 };
 
 struct ServiceOptions {
-  // The engine built underneath (backend registry key, batch options,
-  // max_in_flight, workers).
+  // The engine built underneath over the service's backend
+  // (max_in_flight, workers).
   BatchEngineOptions engine;
   AlignmentScope scope = AlignmentScope::kScoreOnly;
 
@@ -169,12 +169,10 @@ class RequestHandle {
 
 class AlignService {
  public:
-  // Backend resolved through the registry by options.engine.backend from
-  // options.engine.batch, which must materialize every pair: a nonzero
-  // virtual_pairs or pim_simulate_dpus throws InvalidArgument.
-  explicit AlignService(ServiceOptions options);
-  // Injects a caller-built backend (tests, custom backends);
-  // options.engine.backend and options.engine.batch are ignored.
+  // Serves requests on `backend` (e.g. one from backend_registry().create),
+  // which should materialize every pair it is given: requests past a
+  // batch's last result fail instead of resolving. Throws InvalidArgument
+  // on out-of-range options.
   AlignService(std::unique_ptr<BatchAligner> backend, ServiceOptions options);
   // Flushes the forming batch, resolves every admitted request, then
   // tears the batcher and engine down.
@@ -211,7 +209,6 @@ class AlignService {
   const BatchEngine& engine() const noexcept { return *engine_; }
 
  private:
-  void start() PIMWFA_EXCLUDES(mutex_);
   void batcher_loop() PIMWFA_EXCLUDES(mutex_);
 
   std::shared_ptr<detail::ServiceRequest> make_request(
@@ -248,7 +245,7 @@ class AlignService {
 
   std::deque<std::shared_ptr<detail::ServiceRequest>> pending_
       PIMWFA_GUARDED_BY(mutex_);
-  // The arenas_ *vector* never resizes after start(); each element is
+  // The arenas_ *vector* never resizes after construction; each element is
   // handed to exactly one in-flight batch at a time by the free-list
   // protocol below, and the engine reads its pairs through spans outside
   // the lock. The member accesses here (fill, clear, span-take) all

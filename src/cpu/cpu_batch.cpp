@@ -51,7 +51,6 @@ CpuBatchAligner::CpuBatchAligner(CpuBatchOptions options)
 CpuBatchAligner::CpuBatchAligner(const align::BatchOptions& batch)
     : CpuBatchAligner(CpuBatchOptions::from(batch)) {
   per_pair_seconds_override_ = batch.cpu_per_pair_seconds;
-  virtual_pairs_ = batch.virtual_pairs;
 }
 
 CpuBatchResult CpuBatchAligner::align_batch(seq::ReadPairSpan batch,
@@ -113,14 +112,7 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
                                         ThreadPool* pool) {
   WallTimer timer;
   CpuBatchResult native = align_batch(batch, scope, pool);
-  const usize materialized = batch.size();
-  const usize pairs = virtual_pairs_ != 0
-                          ? std::max(virtual_pairs_, materialized)
-                          : materialized;
-  const double scale =
-      materialized > 0
-          ? static_cast<double>(pairs) / static_cast<double>(materialized)
-          : 0.0;
+  const usize pairs = batch.size();
 
   align::BatchResult out;
   out.backend = name();
@@ -128,11 +120,11 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
   align::BatchTimings& t = out.timings;
   t.cpu_wall_seconds = native.seconds;
   t.pairs = pairs;
-  t.materialized = materialized;
+  t.materialized = pairs;
   t.cpu_pairs = pairs;
   t.cpu_fraction = 1.0;
   t.peak_wavefront_bytes = native.work.peak_wavefront_bytes;
-  if (materialized == 0) {
+  if (pairs == 0) {
     t.wall_seconds = timer.seconds();
     return out;
   }
@@ -149,13 +141,10 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
       per_pair_seconds_override_ > 0
           ? per_pair_seconds_override_ * static_cast<double>(pairs)
           : native.seconds *
-                static_cast<double>(std::min(threads_used, materialized)) *
-                scale * system.host_core_ratio;
+                static_cast<double>(std::min(threads_used, pairs)) *
+                system.host_core_ratio;
   const u64 metadata_bytes =
-      per_pair_seconds_override_ > 0
-          ? 0
-          : static_cast<u64>(
-                static_cast<double>(native.work.allocated_bytes) * scale);
+      per_pair_seconds_override_ > 0 ? 0 : native.work.allocated_bytes;
   if (options_.simd) {
     // SIMD projection: fast-path pairs never touch the wavefront arena,
     // so the traffic floor is priced from this batch's own fast-path
@@ -165,7 +154,7 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
     double t1_simd = t1_model;
     if (per_pair_seconds_override_ > 0) {
       const simd::SpeedupModel model = simd::model_sample(
-          batch.first(std::min<usize>(materialized, 128)), options_.penalties,
+          batch.first(std::min<usize>(pairs, 128)), options_.penalties,
           scope, simd::FastPathConfig{options_.simd_edit_threshold},
           simd_level_);
       t1_simd = t1_model / model.speedup;

@@ -79,10 +79,9 @@ class CpuBatchAligner final : public align::BatchAligner {
  private:
   CpuBatchOptions options_;
   simd::SimdLevel simd_level_ = simd::SimdLevel::kScalar;
-  // Unified-options fields consumed by run() (defaults when constructed
-  // from native CpuBatchOptions).
+  // Unified-options field consumed by run() (0 when constructed from
+  // native CpuBatchOptions).
   double per_pair_seconds_override_ = 0;
-  usize virtual_pairs_ = 0;
 };
 
 }  // namespace pimwfa::cpu

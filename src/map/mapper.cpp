@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "align/batch_engine.hpp"
 #include "align/registry.hpp"
 #include "baselines/myers.hpp"
 #include "common/check.hpp"
@@ -47,17 +46,6 @@ void MapperOptions::validate() const {
                    "unknown backend '" << backend << "' (registered: "
                                        << registry.joined_names() << ")");
   batch.validate();
-  // Every survivor needs a materialized result to pick the best hit
-  // from; modes that model pairs without aligning them cannot back a
-  // mapper.
-  PIMWFA_ARG_CHECK(batch.virtual_pairs == 0,
-                   "virtual batches cannot back a read mapper");
-  PIMWFA_ARG_CHECK(batch.pim_simulate_dpus == 0,
-                   "partially simulated PIM batches cannot back a read mapper");
-  if (engine_shards > 0) {
-    PIMWFA_ARG_CHECK(engine_in_flight >= 1,
-                     "engine_in_flight must be >= 1 when sharding");
-  }
 }
 
 ReadMapper::ReadMapper(std::string reference, MapperOptions options)
@@ -200,22 +188,10 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
       batch_options.pim_max_score = static_cast<u64>(max_threshold * per_edit);
     }
 
-    if (options_.engine_shards > 0) {
-      align::BatchEngineOptions engine_options;
-      engine_options.backend = options_.backend;
-      engine_options.batch = batch_options;
-      engine_options.max_in_flight = options_.engine_in_flight;
-      engine_options.workers = options_.engine_workers;
-      align::BatchEngine engine(std::move(engine_options));
-      batch_result = engine.run_sharded(
-          seq::ReadPairSpan(verify_set), align::AlignmentScope::kFull,
-          std::min(options_.engine_shards, survivors.size()));
-    } else {
-      auto backend =
-          align::backend_registry().create(options_.backend, batch_options);
-      batch_result = backend->run(seq::ReadPairSpan(verify_set),
-                                  align::AlignmentScope::kFull);
-    }
+    auto backend =
+        align::backend_registry().create(options_.backend, batch_options);
+    batch_result = backend->run(seq::ReadPairSpan(verify_set),
+                                align::AlignmentScope::kFull);
     PIMWFA_CHECK(batch_result.results.size() == survivors.size(),
                  "backend under-materialized the verification batch: "
                      << batch_result.results.size() << " of "

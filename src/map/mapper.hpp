@@ -6,7 +6,7 @@
 // windows voted by exact k-mer seeds first pass a bit-parallel Myers
 // edit-distance filter with a divergence-derived threshold, and only the
 // survivors pay for gap-affine WFA - batched, zero-copy, through any
-// registered backend or the asynchronous BatchEngine.
+// registered backend.
 //
 // The filter is *lossless* by construction, which is what makes the
 // bit-identity guarantee testable: a mapping qualifies iff its affine
@@ -50,16 +50,8 @@ struct MapperOptions {
   std::string backend = "cpu";
   align::BatchOptions batch;
 
-  // > 0: verify through an async BatchEngine with this many shards in
-  // flight instead of one synchronous backend run.
-  usize engine_shards = 0;
-  usize engine_in_flight = 2;
-  usize engine_workers = 2;
-
   // Throws InvalidArgument on out-of-range fields (including a backend
-  // key the registry does not know, and batch modes that
-  // under-materialize results - the mapper needs a score for every
-  // survivor, so virtual_pairs / pim_simulate_dpus must be 0).
+  // key the registry does not know).
   void validate() const;
 };
 

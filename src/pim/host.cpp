@@ -431,8 +431,6 @@ PimOptions PimOptions::from(const align::BatchOptions& batch) {
   options.penalties = batch.penalties;
   options.packed_sequences = batch.pim_packed;
   options.max_score = batch.pim_max_score;
-  options.simulate_dpus = batch.pim_simulate_dpus;
-  options.virtual_total_pairs = batch.virtual_pairs;
   options.pipeline = batch.pim_pipeline;
   options.pipeline_chunks = batch.pim_pipeline_chunks;
   return options;

@@ -87,7 +87,9 @@ struct PimOptions {
   // `pipeline` (the constructor rejects it otherwise).
   usize pipeline_chunks = 0;
 
-  // Translate the unified batch options (see align/batch.hpp).
+  // Translate the unified batch options (see align/batch.hpp). They
+  // describe a fully simulated, materialized batch: simulate_dpus and
+  // virtual_total_pairs stay 0.
   static PimOptions from(const align::BatchOptions& batch);
 };
 

@@ -523,12 +523,8 @@ TEST_P(ShardedViewDifferential, ShardedViewsMatchTheUnshardedOwningPath) {
             ->run(batch, AlignmentScope::kFull);
     ASSERT_EQ(unsharded.results.size(), batch.size()) << key;
 
-    align::BatchEngineOptions engine_options;
-    engine_options.backend = backend;
-    engine_options.batch = backend_options;
-    engine_options.max_in_flight = 3;
-    engine_options.workers = 2;
-    align::BatchEngine engine(engine_options);
+    align::BatchEngine engine(registry.create(backend, backend_options),
+                              /*max_in_flight=*/3, /*workers=*/2);
     const align::BatchResult sharded =
         engine.run_sharded(batch, AlignmentScope::kFull, /*shards=*/3);
 

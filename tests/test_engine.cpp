@@ -251,18 +251,17 @@ TEST(Hybrid, CalibratedSplitIsConsistentAndCompleteOnTinySystems) {
 TEST(Hybrid, PaperShapeModeledTimeBeatsBothBackendsAlone) {
   constexpr usize kSimulatedDpus = 2;
   constexpr usize kMaterialized = 200;
+  constexpr usize kVirtualPairs = 2560 * (kMaterialized / kSimulatedDpus);
   const seq::ReadPairSet batch = small_batch(kMaterialized, 0x7A9E);
 
   BatchOptions options;
   options.pim_dpus = 0;  // the paper's 2560-DPU system
   options.pim_tasklets = 24;
-  options.pim_simulate_dpus = kSimulatedDpus;
-  options.virtual_pairs = 2560 * (kMaterialized / kSimulatedDpus);
   // ~2x the PIM total on this workload: comfortably transfer-bound, and
   // deterministic (no host measurement).
   options.cpu_per_pair_seconds = 5e-6;
 
-  align::HybridBatchAligner hybrid(options);
+  align::HybridBatchAligner hybrid(options, {kVirtualPairs, kSimulatedDpus});
   const align::HybridBatchAligner::Plan plan =
       hybrid.plan(batch, AlignmentScope::kFull);
   ASSERT_GT(plan.cpu_pairs, 0u);
@@ -277,16 +276,23 @@ TEST(Hybrid, PaperShapeModeledTimeBeatsBothBackendsAlone) {
       << "hybrid " << t.modeled_seconds << "s vs cpu " << t.cpu_alone_seconds
       << "s / pim " << t.pim_alone_seconds << "s";
 
+  // The virtual shape reaches the timings, and only the simulated DPUs'
+  // prefix of the input is materialized.
+  EXPECT_EQ(t.pairs, kVirtualPairs);
+  EXPECT_EQ(t.cpu_pairs + t.pim_pairs, kVirtualPairs);
+  EXPECT_EQ(t.materialized, result.results.size());
+  EXPECT_LT(result.results.size(), batch.size());
+
   // The materialized prefix (the simulated DPUs' share of the PIM side)
   // must be bit-identical to the pure PIM backend on the same prefix.
-  BatchOptions pim_options = options;
-  pim_options.virtual_pairs = plan.pim_pairs;
-  const auto pim_alone =
-      align::backend_registry().create("pim", pim_options);
+  pim::PimOptions pim_options = pim::PimOptions::from(options);
+  pim_options.virtual_total_pairs = plan.pim_pairs;
+  pim_options.simulate_dpus = kSimulatedDpus;
+  pim::PimBatchAligner pim_alone(pim_options);
   const BatchResult reference =
-      pim_alone->run(seq::ReadPairSpan(batch).subspan(
-                         0, std::min(batch.size(), plan.pim_pairs)),
-                     AlignmentScope::kFull);
+      pim_alone.run(seq::ReadPairSpan(batch).subspan(
+                        0, std::min(batch.size(), plan.pim_pairs)),
+                    AlignmentScope::kFull);
   ASSERT_GT(result.results.size(), 0u);
   ASSERT_LE(result.results.size(), reference.results.size());
   for (usize i = 0; i < result.results.size(); ++i) {
@@ -381,12 +387,9 @@ TEST(BatchEngine, KeepsMultipleBatchesInFlightConcurrently) {
 }
 
 TEST(BatchEngine, SubmitViaRegistryBackendReturnsCorrectResults) {
-  align::BatchEngineOptions options;
-  options.backend = "cpu";
-  options.batch = tiny_options();
-  options.max_in_flight = 2;
-  options.workers = 2;
-  align::BatchEngine engine(options);
+  align::BatchEngine engine(
+      align::backend_registry().create("cpu", tiny_options()),
+      /*max_in_flight=*/2, /*workers=*/2);
   EXPECT_EQ(engine.backend_name(), "cpu");
 
   const seq::ReadPairSet a = small_batch(40, 0xAA);
@@ -415,12 +418,9 @@ TEST(BatchEngine, SubmitViaRegistryBackendReturnsCorrectResults) {
 
 TEST(BatchEngine, RunShardedMergesInInputOrder) {
   const seq::ReadPairSet batch = small_batch(101, 0xCC);
-  align::BatchEngineOptions options;
-  options.backend = "pim";
-  options.batch = tiny_options();
-  options.max_in_flight = 3;
-  options.workers = 2;
-  align::BatchEngine engine(options);
+  align::BatchEngine engine(
+      align::backend_registry().create("pim", tiny_options()),
+      /*max_in_flight=*/3, /*workers=*/2);
 
   const BatchResult sharded =
       engine.run_sharded(batch, AlignmentScope::kFull, /*shards=*/5);
@@ -446,11 +446,9 @@ TEST(BatchEngine, RunShardedTruncatesAtFirstPartiallyMaterializedShard) {
   // shard; the merge must stop at the first gap instead of concatenating
   // misaligned results.
   const seq::ReadPairSet batch = small_batch(80, 0xDD);
-  align::BatchEngineOptions options;
-  options.backend = "pim";
-  options.batch = tiny_options();
-  options.batch.pim_simulate_dpus = 2;  // of 4 DPUs: half of each shard
-  align::BatchEngine engine(options);
+  pim::PimOptions options = pim::PimOptions::from(tiny_options());
+  options.simulate_dpus = 2;  // of 4 DPUs: half of each shard
+  align::BatchEngine engine(std::make_unique<pim::PimBatchAligner>(options));
 
   const BatchResult sharded =
       engine.run_sharded(batch, AlignmentScope::kFull, /*shards=*/4);

@@ -365,19 +365,6 @@ TEST(BitIdentityAcrossBackends, AllBackendsAgree) {
   }
 }
 
-// Verification through the async engine (sharded zero-copy submission)
-// must not change a single result either.
-TEST(BitIdentityAcrossBackends, EngineShardsMatchDirectRun) {
-  const Workload workload;
-  const MapResult direct = ReadMapper(workload.genome, backend_options("cpu"))
-                               .map(workload.queries);
-  MapperOptions sharded = backend_options("cpu");
-  sharded.engine_shards = 3;
-  const MapResult engine =
-      ReadMapper(workload.genome, sharded).map(workload.queries);
-  expect_identical(direct, engine, "engine-sharded");
-}
-
 // --- end-to-end mapping quality ------------------------------------------
 
 TEST(ReadMapper, MapsBothStrandsToTheTrueLocus) {
@@ -450,12 +437,6 @@ TEST(MapperOptions, Validation) {
   EXPECT_THROW(ReadMapper(genome, options), InvalidArgument);
   options = {};
   options.error_rate = 1.5;
-  EXPECT_THROW(ReadMapper(genome, options), InvalidArgument);
-  options = {};
-  options.batch.virtual_pairs = 100;
-  EXPECT_THROW(ReadMapper(genome, options), InvalidArgument);
-  options = {};
-  options.batch.pim_simulate_dpus = 1;
   EXPECT_THROW(ReadMapper(genome, options), InvalidArgument);
   options = {};
   options.backend = "no-such-backend";

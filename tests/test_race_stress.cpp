@@ -30,6 +30,7 @@
 
 #include "align/batch_engine.hpp"
 #include "align/hybrid.hpp"
+#include "align/registry.hpp"
 #include "align/service.hpp"
 #include "common/thread_pool.hpp"
 #include "pim/host.hpp"
@@ -67,12 +68,10 @@ TEST(RaceStress, EngineConcurrentSubmitAndShardedRuns) {
   constexpr usize kSubmitsPerProducer = 4;
   constexpr usize kShardedRuns = 2;
 
-  align::BatchEngineOptions options;
-  options.backend = "cpu";
-  options.batch.cpu_threads = 2;
-  options.max_in_flight = 3;
-  options.workers = 2;
-  align::BatchEngine engine(options);
+  BatchOptions options;
+  options.cpu_threads = 2;
+  align::BatchEngine engine(align::backend_registry().create("cpu", options),
+                            /*max_in_flight=*/3, /*workers=*/2);
 
   // Every producer borrows its own set; all sets are built (and the
   // reference results computed) before any thread starts, and outlive

@@ -166,14 +166,15 @@ TEST(AlignService, StreamedResultsMatchDirectBackendRun) {
   const seq::ReadPairSet workload = testing::diff_batch(
       {64, 0.05, align::Penalties::defaults(), 0xA11}, 157);
 
+  align::BatchOptions batch_options;
+  batch_options.cpu_threads = 2;
   ServiceOptions options;
-  options.engine.backend = "cpu";
-  options.engine.batch.cpu_threads = 2;
   options.scope = AlignmentScope::kFull;
   options.max_batch_pairs = 32;
   options.max_batch_delay = std::chrono::milliseconds(1);
   options.max_queued_pairs = 64;
-  AlignService service(options);
+  AlignService service(align::backend_registry().create("cpu", batch_options),
+                       options);
 
   // Stream the workload as requests of awkward sizes (1..13 pairs).
   std::vector<RequestHandle> handles;
@@ -191,7 +192,7 @@ TEST(AlignService, StreamedResultsMatchDirectBackendRun) {
 
   const BatchResult reference =
       align::backend_registry()
-          .create("cpu", options.engine.batch)
+          .create("cpu", batch_options)
           ->run(workload, AlignmentScope::kFull);
 
   // Each request resolves with its own pairs' results in order, so
@@ -463,27 +464,6 @@ TEST(AlignService, RejectsEmptyRequestsAndBadOptions) {
   bad.max_batch_pairs = 0;
   EXPECT_THROW(AlignService(std::make_unique<ScoreBackend>(), bad),
                InvalidArgument);
-
-  // A registry-built backend must materialize every pair: a virtual batch
-  // or a partially simulated PIM system would leave requests without
-  // results.
-  ServiceOptions virtual_batches;
-  virtual_batches.engine.backend = "pim";
-  virtual_batches.engine.batch.pim_dpus = 4;
-  ServiceOptions partial_simulation = virtual_batches;
-  virtual_batches.engine.batch.virtual_pairs = 1024;
-  partial_simulation.engine.batch.pim_simulate_dpus = 1;
-  for (const auto& [field, options] :
-       {std::pair{"virtual_pairs", virtual_batches},
-        std::pair{"pim_simulate_dpus", partial_simulation}}) {
-    try {
-      AlignService service_with_gaps(options);
-      ADD_FAILURE() << "expected InvalidArgument for " << field;
-    } catch (const InvalidArgument& error) {
-      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
-          << error.what();
-    }
-  }
 }
 
 // Arena-recycling stress: a small ring, concurrent producers, thousands

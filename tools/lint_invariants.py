@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: structural rules a compiler run cannot express.
 
-Four invariants, each of which has silently rotted in some codebase like
+Five invariants, each of which has silently rotted in some codebase like
 this one and is cheap to pin here:
 
   headers      Every header under src/ is self-contained: it compiles as
@@ -29,6 +29,14 @@ this one and is cheap to pin here:
                tests/test_differential.cpp. The differential suite is
                the correctness net for the whole backend matrix; a
                backend outside it is unverified by construction.
+
+  drivers      The asynchronous drivers (align/batch_engine.* and
+               align/service.*) run the backend they are handed: they
+               include neither align/registry.hpp nor align/hybrid.hpp,
+               and nothing under cpu/, pim/, upmem/, wfa/ or map/. A
+               driver that builds its own backend from options grows a
+               second constructor and option checks for modes it cannot
+               serve.
 
 Run from the repo root (CI runs it in the lint job):
 
@@ -59,6 +67,13 @@ RAW_SYNC = re.compile(
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock)\b")
 SLEEP = re.compile(r"std::this_thread::sleep_for|std::this_thread::sleep_until")
 REGISTRY_ADD = re.compile(r'registry\.add\(\s*"([^"]+)"')
+
+# Backend-agnostic drivers and the includes they may not use.
+DRIVERS = [Path("src/align") / name for name in (
+    "batch_engine.hpp", "batch_engine.cpp", "service.hpp", "service.cpp")]
+DRIVER_INCLUDE = re.compile(
+    r'#\s*include\s*"((?:align/(?:registry|hybrid)\.hpp)|'
+    r'(?:cpu|pim|upmem|wfa|map)/[^"]*)"')
 
 
 def strip_comments(text: str) -> str:
@@ -145,6 +160,26 @@ def check_backends() -> list:
     return failures
 
 
+def check_drivers() -> list:
+    failures = []
+    for rel in DRIVERS:
+        path = REPO / rel
+        if not path.is_file():
+            failures.append((str(rel), "driver file missing - linter list "
+                                       "stale?"))
+            continue
+        text = strip_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            match = DRIVER_INCLUDE.search(line)
+            if match:
+                failures.append(
+                    (f"{rel}:{lineno}",
+                     f'includes "{match.group(1)}" - drivers take a built '
+                     "backend (std::unique_ptr<BatchAligner>) and never "
+                     "construct or name a concrete one"))
+    return failures
+
+
 def write_step_summary(results: dict) -> None:
     """Appends a per-invariant table to $GITHUB_STEP_SUMMARY when set."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
@@ -185,6 +220,7 @@ def main() -> int:
         "locking": check_locking(),
         "sleeps": check_sleeps(),
         "backends": check_backends(),
+        "drivers": check_drivers(),
     }
 
     worst = 0
