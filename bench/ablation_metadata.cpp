@@ -18,12 +18,24 @@ int main(int argc, char** argv) {
   using namespace pimwfa;
   Cli cli(argc, argv);
   cli.set_description("Metadata placement ablation (WRAM vs MRAM policy)");
-  const usize pairs = static_cast<usize>(
-      cli.get_int("pairs", 1536, "pairs on the benched DPU"));
-  const double error_rate =
-      cli.get_double("error-rate", 0.04, "edit-distance threshold");
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  usize pairs = 0;
+  double error_rate = 0;
+  std::string json;
+  try {
+    pairs = static_cast<usize>(
+        cli.get_int("pairs", 1536, "pairs on the benched DPU"));
+    error_rate = cli.get_double("error-rate", 0.04, "edit-distance threshold");
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_ablation_metadata: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

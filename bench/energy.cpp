@@ -16,23 +16,36 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   cli.set_description("Energy comparison derived from the Fig. 1 timings");
   model::Fig1Options options;
-  options.pairs = static_cast<usize>(
-      cli.get_int("pairs", 5'000'000, "read pairs to align"));
-  options.simulate_dpus = static_cast<usize>(
-      cli.get_int("sim-dpus", 8, "DPUs simulated functionally"));
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  std::string json;
+  double pim_dimm_watts = 0;
+  double host_watts = 0;
+  double cpu_watts = 0;
+  try {
+    options.pairs = static_cast<usize>(
+        cli.get_int("pairs", 5'000'000, "read pairs to align"));
+    options.simulate_dpus = static_cast<usize>(
+        cli.get_int("sim-dpus", 8, "DPUs simulated functionally"));
+    json = cli.get_string("json", "", "write a BenchReport here");
+    pim_dimm_watts = cli.get_double("pim-dimm-watts", 23.22, "");
+    host_watts = cli.get_double("host-watts", 105.0, "");
+    cpu_watts = cli.get_double("cpu-watts", 2 * 105.0 + 20.0, "");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_energy: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;
   }
 
-  const double pim_dimm_watts = cli.get_double("pim-dimm-watts", 23.22, "");
   const double pim_watts =
       pim_dimm_watts * static_cast<double>(options.system.nr_dimms);
-  const double host_watts = cli.get_double("host-watts", 105.0, "");
-  const double cpu_watts =
-      cli.get_double("cpu-watts", 2 * 105.0 + 20.0, "");
 
   const model::Fig1Result result = model::run_fig1(options);
   BenchReport report("energy");

@@ -17,12 +17,25 @@ int main(int argc, char** argv) {
   using namespace pimwfa;
   Cli cli(argc, argv);
   cli.set_description("Edit-distance-threshold scaling (Fig.1 extension)");
-  const usize pairs_per_dpu = static_cast<usize>(
-      cli.get_int("pairs-per-dpu", 1024, "pairs per DPU"));
-  const usize modeled_pairs = static_cast<usize>(
-      cli.get_int("pairs", 5'000'000, "modeled full batch size"));
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  usize pairs_per_dpu = 0;
+  usize modeled_pairs = 0;
+  std::string json;
+  try {
+    pairs_per_dpu = static_cast<usize>(
+        cli.get_int("pairs-per-dpu", 1024, "pairs per DPU"));
+    modeled_pairs = static_cast<usize>(
+        cli.get_int("pairs", 5'000'000, "modeled full batch size"));
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_ethresh: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

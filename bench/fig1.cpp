@@ -22,20 +22,32 @@ int main(int argc, char** argv) {
       "Wavefront Algorithm using Processing-in-Memory' (Diab et al. 2022)");
 
   model::Fig1Options options;
-  options.pairs = static_cast<usize>(
-      cli.get_int("pairs", 5'000'000, "read pairs to align"));
-  options.simulate_dpus = static_cast<usize>(cli.get_int(
-      "sim-dpus", 24, "DPUs to simulate functionally (of 2560)"));
-  options.nr_tasklets = static_cast<usize>(
-      cli.get_int("tasklets", 24, "tasklets per DPU"));
-  options.full_alignment =
-      !cli.get_bool("score-only", false, "skip CIGAR backtraces");
-  options.cpu_repeats = static_cast<usize>(
-      cli.get_int("cpu-repeats", 2, "CPU measurement repeats (min taken)"));
-  options.seed = static_cast<u64>(cli.get_int("seed", 0x51A6, "RNG seed"));
-  const std::string csv = cli.get_string("csv", "", "also write CSV here");
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  std::string csv;
+  std::string json;
+  try {
+    options.pairs = static_cast<usize>(
+        cli.get_int("pairs", 5'000'000, "read pairs to align"));
+    options.simulate_dpus = static_cast<usize>(cli.get_int(
+        "sim-dpus", 24, "DPUs to simulate functionally (of 2560)"));
+    options.nr_tasklets = static_cast<usize>(
+        cli.get_int("tasklets", 24, "tasklets per DPU"));
+    options.full_alignment =
+        !cli.get_bool("score-only", false, "skip CIGAR backtraces");
+    options.cpu_repeats = static_cast<usize>(
+        cli.get_int("cpu-repeats", 2, "CPU measurement repeats (min taken)"));
+    options.seed = static_cast<u64>(cli.get_int("seed", 0x51A6, "RNG seed"));
+    csv = cli.get_string("csv", "", "also write CSV here");
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_fig1: " << error.what() << "\n";
+    return 2;
+  }
 
   if (cli.help_requested()) {
     std::cout << cli.help();
@@ -75,6 +87,18 @@ int main(int argc, char** argv) {
                           detail.speedup_kernel, "x");
         report.add_metric(strprintf("verified_pairs_e%d", e_pct),
                           static_cast<double>(detail.verified_pairs));
+        // The simulated DPU work behind the PIM rows: exact counts for a
+        // given seed and flags, so CI pins them.
+        report.add_metric(strprintf("pim_kernel_cycles_e%d", e_pct),
+                          static_cast<double>(detail.pim.kernel_cycles_max),
+                          "cycles");
+        report.add_metric(strprintf("pim_instructions_e%d", e_pct),
+                          static_cast<double>(detail.pim.work.instructions));
+        report.add_metric(strprintf("pim_dma_calls_e%d", e_pct),
+                          static_cast<double>(detail.pim.work.dma_calls));
+        report.add_metric(strprintf("pim_dma_bytes_e%d", e_pct),
+                          static_cast<double>(detail.pim.work.dma_bytes),
+                          "bytes");
       }
       report.add_metric("peak_rss_mb", peak_rss_mb(), "MiB");
       report.add_metric("minflt", minor_faults(), "faults");

@@ -33,30 +33,47 @@ int main(int argc, char** argv) {
   cli.set_description(
       "Hybrid CPU+PIM dispatch vs either backend alone on the paper-scale "
       "transfer-bound configuration");
-  const usize modeled_pairs = static_cast<usize>(
-      cli.get_int("pairs", 2'560'000, "modeled batch size"));
-  const usize sim_dpus = static_cast<usize>(
-      cli.get_int("sim-dpus", 8, "DPUs simulated functionally"));
-  const usize tasklets =
-      static_cast<usize>(cli.get_int("tasklets", 24, "tasklets per DPU"));
-  const double error_rate =
-      cli.get_double("error-rate", 0.02, "edit-distance threshold");
-  // 8 us/pair on one paper core: the 56-thread projection then sits on the
-  // memory-bandwidth floor of the roofline - the paper's scaling plateau -
-  // at ~4.9x the synchronous PIM Total for the default batch.
-  const double cpu_t1 = cli.get_double(
-      "cpu-t1", 8e-6, "deterministic CPU seconds/pair (0 = measure host)");
-  const bool pipeline = cli.get_bool(
-      "pipeline", false, "run the PIM side (and baseline) pipelined");
-  // On by default: the SIMD layer is bit-identical to the scalar loop, so
-  // the only effect here is the calibrator pricing the CPU side with the
-  // deterministic work-counter speedup + shrunken traffic floor.
-  const bool cpu_simd = cli.get_bool(
-      "cpu-simd", true, "route the CPU side through the SIMD layer");
-  const bool score_only =
-      cli.get_bool("score-only", false, "skip CIGAR backtraces");
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  usize modeled_pairs = 0;
+  usize sim_dpus = 0;
+  usize tasklets = 0;
+  double error_rate = 0;
+  double cpu_t1 = 0;
+  bool pipeline = false;
+  bool cpu_simd = false;
+  bool score_only = false;
+  std::string json;
+  try {
+    modeled_pairs = static_cast<usize>(
+        cli.get_int("pairs", 2'560'000, "modeled batch size"));
+    sim_dpus = static_cast<usize>(
+        cli.get_int("sim-dpus", 8, "DPUs simulated functionally"));
+    tasklets =
+        static_cast<usize>(cli.get_int("tasklets", 24, "tasklets per DPU"));
+    error_rate = cli.get_double("error-rate", 0.02, "edit-distance threshold");
+    // 8 us/pair on one paper core: the 56-thread projection then sits on
+    // the memory-bandwidth floor of the roofline - the paper's scaling
+    // plateau - at ~4.9x the synchronous PIM Total for the default batch.
+    cpu_t1 = cli.get_double(
+        "cpu-t1", 8e-6, "deterministic CPU seconds/pair (0 = measure host)");
+    pipeline = cli.get_bool("pipeline", false,
+                            "run the PIM side (and baseline) pipelined");
+    // On by default: the SIMD layer is bit-identical to the scalar loop,
+    // so the only effect here is the calibrator pricing the CPU side with
+    // the deterministic work-counter speedup + shrunken traffic floor.
+    cpu_simd = cli.get_bool("cpu-simd", true,
+                            "route the CPU side through the SIMD layer");
+    score_only = cli.get_bool("score-only", false, "skip CIGAR backtraces");
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_hybrid: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

@@ -145,15 +145,29 @@ void untiled_table(usize max_length, BenchReport& report) {
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
   cli.set_description("Long-read scaling: kUltralow memory + tiled PIM");
-  const double error_rate = cli.get_double(
-      "error-rate", 0.002, "sequencing error rate of the generated pairs");
-  const usize max_length = static_cast<usize>(cli.get_int(
-      "max-length", 1'000'000, "largest pair length to sweep"));
-  const usize base_budget = static_cast<usize>(cli.get_int(
-      "base-budget", 1 << 20,
-      "kUltralow recursion base budget (ultralow_base_wavefront_bytes)"));
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  double error_rate = 0;
+  usize max_length = 0;
+  usize base_budget = 0;
+  std::string json;
+  try {
+    error_rate = cli.get_double(
+        "error-rate", 0.002, "sequencing error rate of the generated pairs");
+    max_length = static_cast<usize>(cli.get_int(
+        "max-length", 1'000'000, "largest pair length to sweep"));
+    base_budget = static_cast<usize>(cli.get_int(
+        "base-budget", 1 << 20,
+        "kUltralow recursion base budget (ultralow_base_wavefront_bytes)"));
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_longread: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
     options.batch.pim_dpus = static_cast<usize>(
         cli.get_int("dpus", 4, "PIM system size for pim backends"));
     json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
   } catch (const Error& error) {
     if (cli.help_requested()) {
       std::cout << cli.help();

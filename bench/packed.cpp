@@ -14,12 +14,25 @@ int main(int argc, char** argv) {
   using namespace pimwfa;
   Cli cli(argc, argv);
   cli.set_description("Packed-transfer optimization vs the paper's layout");
-  const usize modeled_pairs = static_cast<usize>(
-      cli.get_int("pairs", 5'000'000, "modeled batch size"));
-  const usize sim_dpus = static_cast<usize>(
-      cli.get_int("sim-dpus", 8, "DPUs simulated functionally"));
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  usize modeled_pairs = 0;
+  usize sim_dpus = 0;
+  std::string json;
+  try {
+    modeled_pairs = static_cast<usize>(
+        cli.get_int("pairs", 5'000'000, "modeled batch size"));
+    sim_dpus = static_cast<usize>(
+        cli.get_int("sim-dpus", 8, "DPUs simulated functionally"));
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_packed: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

@@ -26,18 +26,32 @@ int main(int argc, char** argv) {
   cli.set_description(
       "Chunked pipelined execution (scatter/kernel/gather overlap) vs the "
       "synchronous path on the paper-scale PIM system");
-  const usize modeled_pairs = static_cast<usize>(
-      cli.get_int("pairs", 2'560'000, "modeled batch size"));
-  const usize sim_dpus = static_cast<usize>(
-      cli.get_int("sim-dpus", 8, "DPUs simulated functionally"));
-  const usize tasklets =
-      static_cast<usize>(cli.get_int("tasklets", 24, "tasklets per DPU"));
-  const double error_rate =
-      cli.get_double("error-rate", 0.02, "edit-distance threshold");
-  const bool score_only =
-      cli.get_bool("score-only", false, "skip CIGAR backtraces");
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  usize modeled_pairs = 0;
+  usize sim_dpus = 0;
+  usize tasklets = 0;
+  double error_rate = 0;
+  bool score_only = false;
+  std::string json;
+  try {
+    modeled_pairs = static_cast<usize>(
+        cli.get_int("pairs", 2'560'000, "modeled batch size"));
+    sim_dpus = static_cast<usize>(
+        cli.get_int("sim-dpus", 8, "DPUs simulated functionally"));
+    tasklets =
+        static_cast<usize>(cli.get_int("tasklets", 24, "tasklets per DPU"));
+    error_rate = cli.get_double("error-rate", 0.02, "edit-distance threshold");
+    score_only = cli.get_bool("score-only", false, "skip CIGAR backtraces");
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_pipeline: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

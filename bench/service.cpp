@@ -37,23 +37,42 @@ int main(int argc, char** argv) {
   align::BatchFlags defaults;
   defaults.pairs = 20000;
   defaults.score_only = true;
-  align::BatchFlags flags = align::parse_batch_flags(cli, defaults);
-  const usize request_pairs = static_cast<usize>(
-      cli.get_int("request", 64, "pairs per service request"));
-  const usize batch_pairs = static_cast<usize>(
-      cli.get_int("batch-pairs", 1024, "service batch-size watermark"));
-  const i64 batch_delay_ms = cli.get_int(
-      "batch-delay-ms", 2, "service batch-latency watermark");
-  const usize queue_pairs = static_cast<usize>(cli.get_int(
-      "queue-pairs", 4096, "admission high-watermark (backpressure)"));
-  const usize max_in_flight = static_cast<usize>(
-      cli.get_int("in-flight", 2, "concurrent engine batches"));
-  const usize workers = static_cast<usize>(
-      cli.get_int("workers", 4, "engine worker threads"));
-  const usize repeats = static_cast<usize>(
-      cli.get_int("repeat", 2, "timed repetitions (best wins)"));
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  align::BatchFlags flags;
+  usize request_pairs = 0;
+  usize batch_pairs = 0;
+  i64 batch_delay_ms = 0;
+  usize queue_pairs = 0;
+  usize max_in_flight = 0;
+  usize workers = 0;
+  usize repeats = 0;
+  std::string json;
+  try {
+    flags = align::parse_batch_flags(cli, defaults);
+    request_pairs = static_cast<usize>(
+        cli.get_int("request", 64, "pairs per service request"));
+    batch_pairs = static_cast<usize>(
+        cli.get_int("batch-pairs", 1024, "service batch-size watermark"));
+    batch_delay_ms = cli.get_int(
+        "batch-delay-ms", 2, "service batch-latency watermark");
+    queue_pairs = static_cast<usize>(cli.get_int(
+        "queue-pairs", 4096, "admission high-watermark (backpressure)"));
+    max_in_flight = static_cast<usize>(
+        cli.get_int("in-flight", 2, "concurrent engine batches"));
+    workers = static_cast<usize>(
+        cli.get_int("workers", 4, "engine worker threads"));
+    repeats = static_cast<usize>(
+        cli.get_int("repeat", 2, "timed repetitions (best wins)"));
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_service: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

@@ -40,17 +40,31 @@ int main(int argc, char** argv) {
   cli.set_description(
       "SIMD CPU layer vs the scalar WFA loop: measured wall throughput per "
       "dispatch level + the deterministic modeled speedup CI gates on");
-  const usize pairs =
-      static_cast<usize>(cli.get_int("pairs", 10000, "read pairs"));
-  const double error_rate =
-      cli.get_double("error-rate", 0.02, "edit-distance threshold E");
-  const usize threshold = static_cast<usize>(cli.get_int(
-      "simd-threshold", 0, "fast-path edit threshold (0 = auto)"));
-  const bool score_only =
-      cli.get_bool("score-only", false, "skip CIGAR backtraces");
-  const u64 seed = static_cast<u64>(cli.get_int("seed", 0x51A6, "seed"));
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  usize pairs = 0;
+  double error_rate = 0;
+  usize threshold = 0;
+  bool score_only = false;
+  u64 seed = 0;
+  std::string json;
+  try {
+    pairs = static_cast<usize>(cli.get_int("pairs", 10000, "read pairs"));
+    error_rate =
+        cli.get_double("error-rate", 0.02, "edit-distance threshold E");
+    threshold = static_cast<usize>(cli.get_int(
+        "simd-threshold", 0, "fast-path edit threshold (0 = auto)"));
+    score_only = cli.get_bool("score-only", false, "skip CIGAR backtraces");
+    seed = static_cast<u64>(cli.get_int("seed", 0x51A6, "seed"));
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_simd: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

@@ -13,10 +13,22 @@ int main(int argc, char** argv) {
   using namespace pimwfa;
   Cli cli(argc, argv);
   cli.set_description("Host<->DPU transfer model sweep");
-  const usize pairs = static_cast<usize>(
-      cli.get_int("pairs", 5'000'000, "read pairs in the batch"));
-  const std::string json =
-      cli.get_string("json", "", "write a BenchReport here");
+  usize pairs = 0;
+  std::string json;
+  try {
+    pairs = static_cast<usize>(
+        cli.get_int("pairs", 5'000'000, "read pairs in the batch"));
+    json = cli.get_string("json", "", "write a BenchReport here");
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    // --help wins over a malformed or unknown flag.
+    if (cli.help_requested()) {
+      std::cout << cli.help();
+      return 0;
+    }
+    std::cerr << "bench_transfer: " << error.what() << "\n";
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;

@@ -76,15 +76,33 @@ int main(int argc, char** argv) {
   if (cli.positional().empty()) return usage();
   const std::string command = cli.positional()[0];
 
+  // A malformed or unknown flag is a usage error (exit 2); an error raised
+  // while running exits 1.
+  align::BatchFlags flags;
+  std::string out;
   try {
     if (command == "generate") {
-      const align::BatchFlags flags = align::parse_batch_flags(cli);
+      flags = align::parse_batch_flags(cli);
+      out = cli.get_string("out", "pairs.seq", "");
+    } else if (command == "align") {
+      align::BatchFlags defaults;
+      defaults.backend = "cpu";
+      defaults.options.pim_dpus = 4;
+      flags = align::parse_batch_flags(cli, defaults);
+    }
+    cli.reject_unknown_flags();
+  } catch (const Error& error) {
+    std::cerr << "dataset_tools: " << error.what() << "\n";
+    return 2;
+  }
+
+  try {
+    if (command == "generate") {
       seq::GeneratorConfig config;
       config.pairs = flags.pairs;
       config.read_length = flags.read_length;
       config.error_rate = flags.error_rate;
       config.seed = flags.seed;
-      const std::string out = cli.get_string("out", "pairs.seq", "");
       const seq::ReadPairSet set = seq::generate_dataset(config);
       save_any(out, set);
       std::cout << "wrote " << with_commas(set.size()) << " pairs to " << out
@@ -115,10 +133,6 @@ int main(int argc, char** argv) {
     }
     if (command == "align") {
       if (cli.positional().size() < 2) return usage();
-      align::BatchFlags defaults;
-      defaults.backend = "cpu";
-      defaults.options.pim_dpus = 4;
-      const align::BatchFlags flags = align::parse_batch_flags(cli, defaults);
       const seq::ReadPairSet set = load_any(cli.positional()[1]);
       const auto backend =
           align::backend_registry().create(flags.backend, flags.options);

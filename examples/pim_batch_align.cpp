@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   align::BatchFlags flags;
   try {
     flags = align::parse_batch_flags(cli, defaults);
+    cli.reject_unknown_flags();
   } catch (const Error& error) {
     // --help wins over a malformed flag.
     if (cli.help_requested()) {

@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   align::BatchFlags flags;
   try {
     flags = align::parse_batch_flags(cli, defaults);
+    cli.reject_unknown_flags();
   } catch (const Error& error) {
     // --help wins over a malformed flag: the user asked what the flags
     // are, not to run with them.

@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
         cli.get_int("n-islands", 0, "assembly-gap N runs in the reference"));
     sim_config.reads =
         static_cast<usize>(cli.get_int("reads", 1000, "reads to map"));
+    cli.reject_unknown_flags();
   } catch (const Error& error) {
     // --help wins over a malformed flag: the user asked what the flags
     // are, not to run with them.

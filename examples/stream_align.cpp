@@ -87,6 +87,7 @@ int main(int argc, char** argv) {
         "queue-pairs", 4096, "admission high-watermark (backpressure)"));
     arenas = static_cast<usize>(
         cli.get_int("arenas", 0, "arena ring size (0 = auto)"));
+    cli.reject_unknown_flags();
   } catch (const Error& error) {
     // --help wins over a malformed flag (and a parse error must not
     // escape main as an uncaught exception).

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -89,6 +90,22 @@ bool Cli::get_bool(const std::string& name, bool fallback,
   }
   throw InvalidArgument("flag --" + name + " expects a boolean, got '" +
                         value + "'");
+}
+
+void Cli::reject_unknown_flags() const {
+  std::string unknown;
+  usize count = 0;
+  for (const auto& entry : values_) {
+    const auto same_name = [&](const FlagDoc& doc) {
+      return doc.name == entry.first;
+    };
+    if (std::any_of(docs_.begin(), docs_.end(), same_name)) continue;
+    unknown += (count++ == 0 ? "--" : ", --") + entry.first;
+  }
+  if (count > 0) {
+    throw InvalidArgument((count == 1 ? "unknown flag " : "unknown flags ") +
+                          unknown);
+  }
 }
 
 std::string Cli::help() const {

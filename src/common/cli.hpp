@@ -32,6 +32,13 @@ class Cli {
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 
+  // Throws InvalidArgument naming every flag on the command line that no
+  // getter has registered, so a misspelt flag fails instead of silently
+  // running the defaults. Call after the program's last getter; a
+  // program's usage-error handler prints help instead when
+  // help_requested(), so --help still wins.
+  void reject_unknown_flags() const;
+
   // Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 

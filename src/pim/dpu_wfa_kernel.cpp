@@ -14,6 +14,8 @@ namespace {
 using wfa::kOffsetNone;
 using wfa::Offset;
 
+constexpr const KernelCosts& kCosts = kDefaultKernelCosts;
+
 // Mismatch-predecessor candidate, trimmed against sequence bounds. Must be
 // byte-identical to the host-side helper in wfa_aligner.cpp so that DPU
 // and CPU alignments agree exactly.
@@ -33,8 +35,8 @@ inline Offset max3(Offset a, Offset b, Offset c) noexcept {
 // windows, processes this tasklet's share of the batch.
 class Engine {
  public:
-  Engine(upmem::TaskletCtx& ctx, const KernelCosts& costs)
-      : ctx_(ctx), costs_(costs) {
+  Engine(upmem::TaskletCtx& ctx, wfa::MatchRunFn match_run)
+      : ctx_(ctx), match_run_(match_run) {
     // Stage the batch header from MRAM address 0.
     const u64 hdr_off = ctx_.wram_alloc(sizeof(BatchHeader));
     ctx_.mram_read(0, hdr_off, sizeof(BatchHeader));
@@ -172,15 +174,16 @@ class Engine {
     for (i32 k = desc.lo; k <= desc.hi; ++k) {
       Offset off = m.get(k);
       if (!wfa::offset_reachable(off)) continue;
-      i32 v = off - k;
-      u64 matched = 0;
-      while (v < plen_ && off < tlen_ &&
-             pattern_[static_cast<usize>(v)] == text_[static_cast<usize>(off)]) {
-        ++v;
-        ++off;
-        ++matched;
+      const i32 v = off - k;
+      const i32 room = std::min(plen_ - v, tlen_ - off);
+      usize matched = 0;
+      if (room > 0) {
+        matched =
+            match_run_(pattern_ + v, text_ + off, static_cast<usize>(room));
       }
-      ctx_.account(costs_.extend_probe + matched * costs_.extend_match);
+      off += static_cast<Offset>(matched);
+      // The DPU compares byte by byte: charge the scalar loop's cost.
+      ctx_.account(kCosts.extend_probe + matched * kCosts.extend_match);
       m.set(k, off);
       if (k == k_final && off >= tlen_) done = true;
     }
@@ -201,7 +204,7 @@ class Engine {
   }
 
   void compute_next(u64 score) {
-    ctx_.account(costs_.score_step);
+    ctx_.account(kCosts.score_step);
     const i32 x = hdr_.mismatch;
     const i32 oe = hdr_.gap_open + hdr_.gap_extend;
     const i32 e = hdr_.gap_extend;
@@ -261,7 +264,7 @@ class Engine {
     win(kWOutD).bind(out.d_addr, lo, hi, true);
 
     const u64 cell_cost =
-        costs_.cell + (space_->in_wram() ? 0 : costs_.cell_mram_extra);
+        kCosts.cell + (space_->in_wram() ? 0 : kCosts.cell_mram_extra);
     for (i32 k = lo; k <= hi; ++k) {
       Offset ins = std::max(win(kWGapLo).get(k - 1), win(kWIExt).get(k - 1));
       if (wfa::offset_reachable(ins)) {
@@ -297,7 +300,7 @@ class Engine {
     auto emit = [&](char op) {
       PIMWFA_HW_CHECK(pos > 0, "CIGAR buffer overflow in DPU backtrace");
       cigar[--pos] = static_cast<u8>(op);
-      ctx_.account(costs_.cigar_byte);
+      ctx_.account(kCosts.cigar_byte);
     };
 
     enum class State { kM, kI, kD };
@@ -313,7 +316,7 @@ class Engine {
     };
 
     while (true) {
-      ctx_.account(costs_.backtrace_step);
+      ctx_.account(kCosts.backtrace_step);
       if (state == State::kM) {
         const Offset sub =
             s >= static_cast<u64>(x)
@@ -386,7 +389,7 @@ class Engine {
   }
 
   void align_pair(u64 pair) {
-    ctx_.account(costs_.per_pair);
+    ctx_.account(kCosts.per_pair);
     fetch_pair(pair);
     space_->reset();
 
@@ -407,7 +410,7 @@ class Engine {
         u8* cigar = ctx_.wram_ptr(cigar_off_, cigar_cap_);
         for (i32 i = 0; i < tlen_; ++i) cigar[cigar_len++] = 'I';
         for (i32 i = 0; i < plen_; ++i) cigar[cigar_len++] = 'D';
-        ctx_.account(cigar_len * costs_.cigar_byte);
+        ctx_.account(cigar_len * kCosts.cigar_byte);
       }
     } else {
       // Score-0 seed on diagonal 0; a kI/kD begin also seeds its gap
@@ -459,7 +462,7 @@ class Engine {
   }
 
   upmem::TaskletCtx& ctx_;
-  KernelCosts costs_;
+  wfa::MatchRunFn match_run_;
   BatchHeader hdr_{};
   u64 pattern_off_ = 0;
   u64 text_off_ = 0;
@@ -484,7 +487,7 @@ class Engine {
 }  // namespace
 
 void WfaDpuKernel::run(upmem::TaskletCtx& ctx) {
-  Engine engine(ctx, costs_);
+  Engine engine(ctx, match_run_);
   engine.run_pairs(first_pair_, pair_count_);
 }
 

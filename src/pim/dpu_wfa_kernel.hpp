@@ -12,27 +12,30 @@
 // wfa::WfaAligner operation for operation - the paper applies "no
 // optimizations compared to the original WFA implementation" - so host and
 // DPU results are bit-identical, which the integration tests assert.
+// Instructions are charged from kDefaultKernelCosts (pim/cost_table.hpp).
 #pragma once
 
 #include "pim/cost_table.hpp"
 #include "pim/layout.hpp"
 #include "pim/meta_space.hpp"
 #include "upmem/kernel.hpp"
+#include "wfa/kernels.hpp"
 
 namespace pimwfa::pim {
 
 class WfaDpuKernel final : public upmem::DpuKernel {
  public:
-  explicit WfaDpuKernel(const KernelCosts& costs = kDefaultKernelCosts)
-      : costs_(costs) {}
-
-  // Slice launch (pipelined mode): align only pairs
-  // [first_pair, first_pair + pair_count) of the MRAM batch. On hardware
-  // the bounds travel as kernel launch arguments (a small host->WRAM copy
-  // the host accounts per launch); the batch in MRAM is untouched, so a
-  // sliced sequence of launches is bit-identical to one full launch.
-  WfaDpuKernel(const KernelCosts& costs, u64 first_pair, u64 pair_count)
-      : costs_(costs), first_pair_(first_pair), pair_count_(pair_count) {}
+  // Align pairs [first_pair, first_pair + pair_count) of the MRAM batch.
+  // On hardware the bounds travel as kernel launch arguments (a small
+  // host->WRAM copy the host accounts per launch); the batch in MRAM is
+  // untouched, so a sliced sequence of launches is bit-identical to one
+  // full launch. `match_run` scans the extension's matching bases on the
+  // host: any bit-identical kernel (wfa/kernels.hpp), since the DPU is
+  // charged its scalar per-base cost either way.
+  WfaDpuKernel(u64 first_pair, u64 pair_count, wfa::MatchRunFn match_run)
+      : first_pair_(first_pair),
+        pair_count_(pair_count),
+        match_run_(match_run) {}
 
   // Modeled bytes of the per-launch argument block (slice bounds).
   static constexpr u64 kLaunchArgBytes = 16;
@@ -40,9 +43,9 @@ class WfaDpuKernel final : public upmem::DpuKernel {
   void run(upmem::TaskletCtx& ctx) override;
 
  private:
-  KernelCosts costs_;
-  u64 first_pair_ = 0;
-  u64 pair_count_ = ~u64{0};  // default: the whole batch
+  u64 first_pair_;
+  u64 pair_count_;
+  wfa::MatchRunFn match_run_;
 };
 
 }  // namespace pimwfa::pim

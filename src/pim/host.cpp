@@ -76,6 +76,8 @@ struct BatchRun {
   // Tiled runs: record i is segments[i] of its pair. Otherwise record i is
   // pair i of `batch`.
   const std::vector<TileSegment>* segments = nullptr;
+  // The DPU kernels' host-side extension scan.
+  wfa::MatchRunFn match_run = nullptr;
   bool full = false;
   usize logical = 0;
   usize simulated = 0;
@@ -211,9 +213,9 @@ PimBatchResult run_chunks(const BatchRun& run, ThreadPool* pool) {
         [&, c](usize d) {
           const usize begin = run.range_of(d).first;
           const auto [sb, se] = slice_of(d, c);
-          return std::make_unique<WfaDpuKernel>(
-              kDefaultKernelCosts, static_cast<u64>(sb - begin),
-              static_cast<u64>(se - sb));
+          return std::make_unique<WfaDpuKernel>(static_cast<u64>(sb - begin),
+                                                static_cast<u64>(se - sb),
+                                                run.match_run);
         },
         tasklets, pool, &launch_cycles[c]);
   };
@@ -536,7 +538,12 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
     return out;
   };
 
-  BatchRun run{options_, batch, system};
+  // The kernels the cpu-simd backend dispatches to, resolved once per
+  // call: the tiling planner expands its subproblems with them and the DPU
+  // kernels scan extension matches with their match_run.
+  const wfa::WfaKernels& kernels =
+      cpu::simd::wfa_kernels(cpu::simd::active_level());
+  BatchRun run{options_, batch, system, nullptr, kernels.match_run};
   run.full = scope == align::AlignmentScope::kFull;
   run.logical = logical;
   run.simulated = simulated;
@@ -594,11 +601,8 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
       // Plan the segments, then re-probe with the segment batch's real
       // geometry: extra records shrink the per-tasklet arena, so replan
       // under the smaller budget until the plan is self-consistent. The
-      // planner expands its subproblems on `pool` with the kernels the
-      // cpu-simd backend dispatches to.
+      // planner expands its subproblems on `pool`.
       WallTimer plan_timer;
-      const wfa::WfaKernels& kernels =
-          cpu::simd::wfa_kernels(cpu::simd::active_level());
       TiledBatch tiled;
       u64 plan_budget = budget;
       for (int attempt = 0;; ++attempt) {
@@ -651,7 +655,8 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
       tiled_options.max_score =
           span_score_cap(options_, tiled.max_pattern, tiled.max_text);
       tiled_options.pipeline = false;
-      BatchRun tiled_run{tiled_options, batch, system, &tiled.segments};
+      BatchRun tiled_run{tiled_options, batch, system, &tiled.segments,
+                         kernels.match_run};
       tiled_run.full = run.full;
       tiled_run.logical = logical;
       tiled_run.simulated = simulated;

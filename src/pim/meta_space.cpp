@@ -126,9 +126,11 @@ Offset MetaSpace::read_offset(u64 handle, i32 lo, i32 hi, i32 k) {
 
 // --- OffsetWindow -------------------------------------------------------
 
-OffsetWindow::OffsetWindow(MetaSpace& space) : space_(&space), buffer_wram_(0) {
+OffsetWindow::OffsetWindow(MetaSpace& space) : space_(&space) {
   if (!space.in_wram()) {
-    buffer_wram_ = space.ctx().wram_alloc(kWindowOffsets * sizeof(Offset));
+    constexpr usize kBytes = kWindowOffsets * sizeof(Offset);
+    buffer_wram_ = space.ctx().wram_alloc(kBytes);
+    data_ = space.ctx().wram_ptr(buffer_wram_, kBytes);
   }
 }
 
@@ -141,6 +143,12 @@ void OffsetWindow::bind(u64 handle, i32 lo, i32 hi, bool writable) {
   win_begin_ = 0;
   win_count_ = 0;
   dirty_ = false;
+  if (space_->in_wram() && handle != 0 && lo <= hi) {
+    // The array is WRAM-resident: window it whole, bounds-checked once.
+    win_count_ = hi - lo + 1;
+    data_ = space_->ctx().wram_ptr(
+        handle, static_cast<usize>(win_count_) * sizeof(Offset));
+  }
 }
 
 void OffsetWindow::load(i32 element) {
@@ -160,53 +168,6 @@ void OffsetWindow::load(i32 element) {
                           static_cast<usize>(count) * sizeof(Offset));
   win_begin_ = begin;
   win_count_ = count;
-}
-
-Offset OffsetWindow::get(i32 k) {
-  if (handle_ == 0 || k < lo_ || k > hi_) return kOffsetNone;
-  const i32 element = k - lo_;
-  if (space_->in_wram()) {
-    Offset value;
-    std::memcpy(&value,
-                space_->ctx().wram_ptr(
-                    handle_ + static_cast<u64>(element) * sizeof(Offset),
-                    sizeof(Offset)),
-                sizeof(Offset));
-    return value;
-  }
-  if (element < win_begin_ || element >= win_begin_ + win_count_) {
-    load(element);
-  }
-  Offset value;
-  std::memcpy(&value,
-              space_->ctx().wram_ptr(
-                  buffer_wram_ +
-                      static_cast<u64>(element - win_begin_) * sizeof(Offset),
-                  sizeof(Offset)),
-              sizeof(Offset));
-  return value;
-}
-
-void OffsetWindow::set(i32 k, Offset value) {
-  PIMWFA_DCHECK(handle_ != 0 && writable_);
-  PIMWFA_DCHECK(k >= lo_ && k <= hi_);
-  const i32 element = k - lo_;
-  if (space_->in_wram()) {
-    std::memcpy(space_->ctx().wram_ptr(
-                    handle_ + static_cast<u64>(element) * sizeof(Offset),
-                    sizeof(Offset)),
-                &value, sizeof(Offset));
-    return;
-  }
-  if (element < win_begin_ || element >= win_begin_ + win_count_) {
-    load(element);
-  }
-  std::memcpy(space_->ctx().wram_ptr(
-                  buffer_wram_ +
-                      static_cast<u64>(element - win_begin_) * sizeof(Offset),
-                  sizeof(Offset)),
-              &value, sizeof(Offset));
-  dirty_ = true;
 }
 
 void OffsetWindow::flush() {

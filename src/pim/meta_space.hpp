@@ -17,6 +17,9 @@
 //    the ablation of Fig. Abl-A.
 #pragma once
 
+#include <cstring>
+
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "pim/layout.hpp"
 #include "upmem/tasklet.hpp"
@@ -88,7 +91,13 @@ class MetaSpace {
 // A small WRAM staging window over one offset array. Access pattern of the
 // WFA loops is (mostly) ascending in k, so a window that reloads forward
 // on miss turns O(width) element accesses into O(width / kWindowOffsets)
-// DMA transfers. In WRAM mode the window degenerates to a direct pointer.
+// DMA transfers. In WRAM mode the window covers the whole bound array.
+//
+// Either way the window's storage is resolved to a host pointer, and
+// bounds-checked in full, where it is placed: the staging buffer when the
+// window is built (kMram), the bound array on bind() (kWram). A hit is
+// then a range test and a memcpy; only a miss (load/flush) leaves the
+// inline path, through the DMA engine.
 class OffsetWindow {
  public:
   // Allocates the staging buffer from WRAM; construct once per tasklet,
@@ -100,11 +109,21 @@ class OffsetWindow {
   void bind(u64 handle, i32 lo, i32 hi, bool writable);
 
   // Furthest-reaching offset at diagonal k (kOffsetNone outside range).
-  wfa::Offset get(i32 k);
+  wfa::Offset get(i32 k) {
+    if (handle_ == 0 || k < lo_ || k > hi_) return wfa::kOffsetNone;
+    wfa::Offset value;
+    std::memcpy(&value, slot(k - lo_), sizeof(value));
+    return value;
+  }
 
   // Store at diagonal k (must be within [lo, hi]; window must be bound
   // writable).
-  void set(i32 k, wfa::Offset value);
+  void set(i32 k, wfa::Offset value) {
+    PIMWFA_DCHECK(handle_ != 0 && writable_);
+    PIMWFA_DCHECK(k >= lo_ && k <= hi_);
+    std::memcpy(slot(k - lo_), &value, sizeof(value));
+    dirty_ = true;
+  }
 
   // Write back a dirty window (no-op otherwise / in WRAM mode).
   void flush();
@@ -112,10 +131,21 @@ class OffsetWindow {
   static constexpr usize kWindowOffsets = 32;  // 128 B staging buffer
 
  private:
+  // Storage of `element`, loading the window over it on a miss.
+  u8* slot(i32 element) {
+    if (element < win_begin_ || element >= win_begin_ + win_count_) {
+      load(element);
+    }
+    return data_ +
+           static_cast<usize>(element - win_begin_) * sizeof(wfa::Offset);
+  }
   void load(i32 element);  // reposition window to cover `element`
 
   MetaSpace* space_;
-  u64 buffer_wram_;  // staging storage (kMram mode)
+  u64 buffer_wram_ = 0;  // staging storage (kMram mode)
+  // Host storage of element win_begin_: the staging buffer (kMram mode)
+  // or the bound array (kWram mode).
+  u8* data_ = nullptr;
   u64 handle_ = 0;
   i32 lo_ = 0;
   i32 hi_ = -1;

@@ -5,7 +5,7 @@
 
 namespace pimwfa::upmem {
 
-void DmaEngine::check(u64 mram_addr, u64 wram_offset, usize bytes) const {
+void DmaEngine::reject(u64 mram_addr, u64 wram_offset, usize bytes) const {
   PIMWFA_HW_CHECK(is_aligned_pow2(mram_addr, config_->dma_align),
                   "DMA MRAM address " << mram_addr << " not "
                                       << config_->dma_align << "-byte aligned");
@@ -18,20 +18,7 @@ void DmaEngine::check(u64 mram_addr, u64 wram_offset, usize bytes) const {
   PIMWFA_HW_CHECK(bytes >= config_->dma_align && bytes <= config_->dma_max_bytes,
                   "DMA size " << bytes << " outside [" << config_->dma_align
                               << ", " << config_->dma_max_bytes << "]");
-}
-
-u64 DmaEngine::mram_to_wram(Mram& mram, u64 mram_addr, Wram& wram,
-                            u64 wram_offset, usize bytes) const {
-  check(mram_addr, wram_offset, bytes);
-  mram.read(mram_addr, wram.at(wram_offset, bytes), bytes);
-  return cycles(bytes);
-}
-
-u64 DmaEngine::wram_to_mram(const Wram& wram, u64 wram_offset, Mram& mram,
-                            u64 mram_addr, usize bytes) const {
-  check(mram_addr, wram_offset, bytes);
-  mram.write(mram_addr, wram.at(wram_offset, bytes), bytes);
-  return cycles(bytes);
+  throw Error("DMA fault raised for a transfer every rule accepts");
 }
 
 }  // namespace pimwfa::upmem

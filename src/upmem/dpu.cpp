@@ -52,34 +52,19 @@ DpuRunStats Dpu::launch(DpuKernel& kernel, usize nr_tasklets) {
 // --- TaskletCtx --------------------------------------------------------
 
 TaskletCtx::TaskletCtx(Dpu& dpu, usize tasklet_id, usize nr_tasklets)
-    : dpu_(&dpu), tasklet_id_(tasklet_id), nr_tasklets_(nr_tasklets) {}
+    : dpu_(&dpu),
+      mram_(&dpu.mram()),
+      wram_(&dpu.wram()),
+      dma_(&dpu.dma()),
+      tasklet_id_(tasklet_id),
+      nr_tasklets_(nr_tasklets) {}
 
 u64 TaskletCtx::wram_alloc(usize bytes) { return dpu_->wram_heap_alloc(bytes); }
 
-u8* TaskletCtx::wram_ptr(u64 offset, usize bytes) {
-  return dpu_->wram().at(offset, bytes);
-}
-
 u64 TaskletCtx::wram_free() const noexcept { return dpu_->wram_heap_free(); }
 
-void TaskletCtx::mram_read(u64 mram_addr, u64 wram_offset, usize bytes) {
-  const u64 cycles = dpu_->dma().mram_to_wram(dpu_->mram(), mram_addr,
-                                              dpu_->wram(), wram_offset, bytes);
-  ++stats_.dma_calls;
-  stats_.dma_bytes += bytes;
-  stats_.dma_cycles += cycles;
-}
-
-void TaskletCtx::mram_write(u64 wram_offset, u64 mram_addr, usize bytes) {
-  const u64 cycles = dpu_->dma().wram_to_mram(dpu_->wram(), wram_offset,
-                                              dpu_->mram(), mram_addr, bytes);
-  ++stats_.dma_calls;
-  stats_.dma_bytes += bytes;
-  stats_.dma_cycles += cycles;
-}
-
 void TaskletCtx::mram_read_large(u64 mram_addr, u64 wram_offset, usize bytes) {
-  const u64 chunk = dpu_->dma().max_bytes();
+  const u64 chunk = dma_->max_bytes();
   while (bytes > 0) {
     const usize step = static_cast<usize>(std::min<u64>(bytes, chunk));
     mram_read(mram_addr, wram_offset, step);
@@ -90,7 +75,7 @@ void TaskletCtx::mram_read_large(u64 mram_addr, u64 wram_offset, usize bytes) {
 }
 
 void TaskletCtx::mram_write_large(u64 wram_offset, u64 mram_addr, usize bytes) {
-  const u64 chunk = dpu_->dma().max_bytes();
+  const u64 chunk = dma_->max_bytes();
   while (bytes > 0) {
     const usize step = static_cast<usize>(std::min<u64>(bytes, chunk));
     mram_write(wram_offset, mram_addr, step);

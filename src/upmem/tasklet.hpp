@@ -8,7 +8,9 @@
 // which kernels report the instructions their inner loops would execute on
 // the real in-order core (costs per operation live with the kernels; the
 // pipeline law that turns per-tasklet counts into DPU cycles lives in
-// CostModel).
+// CostModel). The per-access calls (wram_ptr, mram_read, mram_write) are
+// inline over the owning DPU's memories, which the context resolves once
+// when it is built.
 #pragma once
 
 #include "common/types.hpp"
@@ -51,7 +53,7 @@ class TaskletCtx {
   u64 wram_alloc(usize bytes);
 
   // Host pointer to WRAM storage (valid for the whole launch).
-  u8* wram_ptr(u64 offset, usize bytes);
+  u8* wram_ptr(u64 offset, usize bytes) { return wram_->at(offset, bytes); }
 
   template <typename T>
   T* wram_array(u64 offset, usize count) {
@@ -61,8 +63,16 @@ class TaskletCtx {
   // --- DMA -------------------------------------------------------------
   // UPMEM semantics: both addresses 8-byte aligned, size a multiple of 8
   // in [8, 2048]. Cycle costs are charged to this tasklet.
-  void mram_read(u64 mram_addr, u64 wram_offset, usize bytes);
-  void mram_write(u64 wram_offset, u64 mram_addr, usize bytes);
+  void mram_read(u64 mram_addr, u64 wram_offset, usize bytes) {
+    const u64 cycles =
+        dma_->mram_to_wram(*mram_, mram_addr, *wram_, wram_offset, bytes);
+    charge_dma(bytes, cycles);
+  }
+  void mram_write(u64 wram_offset, u64 mram_addr, usize bytes) {
+    const u64 cycles =
+        dma_->wram_to_mram(*wram_, wram_offset, *mram_, mram_addr, bytes);
+    charge_dma(bytes, cycles);
+  }
 
   // Large-transfer convenience: splits into max-size DMA chunks (the SDK
   // idiom for >2048-byte moves). Sizes must still be 8-byte aligned.
@@ -79,7 +89,16 @@ class TaskletCtx {
   u64 wram_free() const noexcept;
 
  private:
+  void charge_dma(usize bytes, u64 cycles) noexcept {
+    ++stats_.dma_calls;
+    stats_.dma_bytes += bytes;
+    stats_.dma_cycles += cycles;
+  }
+
   Dpu* dpu_;
+  Mram* mram_;
+  Wram* wram_;
+  const DmaEngine* dma_;
   usize tasklet_id_;
   usize nr_tasklets_;
   TaskletStats stats_;

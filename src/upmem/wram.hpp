@@ -1,6 +1,8 @@
 // Simulated WRAM: the 64 KB SRAM scratchpad shared by all tasklets of one
 // DPU. Kernels address it through offsets handed out by the per-launch
 // layout (see TaskletCtx::wram_alloc); load/store helpers bounds-check.
+// The storage never moves, so a pointer from at() stays valid for the
+// Wram's lifetime.
 #pragma once
 
 #include <algorithm>
@@ -47,10 +49,13 @@ class Wram {
 
  private:
   void check_range(u64 offset, usize bytes) const {
-    PIMWFA_HW_CHECK(offset <= store_.size() && bytes <= store_.size() - offset,
-                    "WRAM access [" << offset << ", " << offset + bytes
-                                    << ") exceeds capacity " << store_.size());
+    if (offset > store_.size() || bytes > store_.size() - offset) [[unlikely]] {
+      range_fault(offset, bytes);
+    }
   }
+  // Raises the HardwareFault for an access check_range rejected. Cold and
+  // out of line, so at() inlines to a compare and an add.
+  [[noreturn]] void range_fault(u64 offset, usize bytes) const;
 
   std::vector<u8> store_;
 };

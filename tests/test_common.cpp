@@ -230,6 +230,21 @@ TEST(Cli, RejectsBadInteger) {
   EXPECT_THROW(cli.get_int("n", 0), InvalidArgument);
 }
 
+TEST(Cli, RejectsFlagsNoGetterRegistered) {
+  const char* argv[] = {"prog", "--pairs", "8", "--bogus", "7", "--typo=1"};
+  Cli cli(6, argv);
+  EXPECT_EQ(cli.get_int("pairs", 0), 8);
+  try {
+    cli.reject_unknown_flags();
+    ADD_FAILURE() << "unknown flags accepted";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "unknown flags --bogus, --typo");
+  }
+  cli.get_string("bogus", "");
+  cli.get_bool("typo", false);
+  EXPECT_NO_THROW(cli.reject_unknown_flags());
+}
+
 TEST(Check, ThrowsTypedErrors) {
   EXPECT_THROW(PIMWFA_CHECK(false, "boom"), Error);
   EXPECT_THROW(PIMWFA_ARG_CHECK(false, "bad arg"), InvalidArgument);

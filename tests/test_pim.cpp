@@ -526,6 +526,107 @@ TEST(PimBatch, TimingBreakdownSane) {
   EXPECT_GT(t.work.dma_calls, 0u);
 }
 
+// --- pinned simulated work ----------------------------------------------
+
+// What the DPU kernel charges for fixed inputs: instructions through
+// account(), DMA calls/bytes/cycles through the DMA law, and the pipeline
+// law's cycles. The host may simulate these faster but never differently,
+// so every count is pinned exactly.
+struct Work {
+  u64 instructions;
+  u64 dma_calls;
+  u64 dma_bytes;
+  u64 dma_cycles;
+  u64 kernel_cycles_max;
+  u64 kernel_cycles_total;
+};
+
+void expect_work(const PimTimings& t, const char* name, const Work& want) {
+  SCOPED_TRACE(name);
+  EXPECT_EQ(t.work.instructions, want.instructions);
+  EXPECT_EQ(t.work.dma_calls, want.dma_calls);
+  EXPECT_EQ(t.work.dma_bytes, want.dma_bytes);
+  EXPECT_EQ(t.work.dma_cycles, want.dma_cycles);
+  EXPECT_EQ(t.kernel_cycles_max, want.kernel_cycles_max);
+  EXPECT_EQ(t.kernel_cycles_total, want.kernel_cycles_total);
+}
+
+TEST(PimWork, KernelChargesArePinned) {
+  constexpr auto kMram = MetadataPolicy::kMram;
+  constexpr auto kWram = MetadataPolicy::kWram;
+  constexpr auto kScore = AlignmentScope::kScoreOnly;
+  constexpr auto kFull = AlignmentScope::kFull;
+  struct Cell {
+    const char* name;
+    MetadataPolicy policy;
+    bool packed;
+    AlignmentScope scope;
+    Work work;
+  };
+  // clang-format off
+  const Cell cells[] = {
+      {"mram plain score", kMram, false, kScore,
+       {234170, 2201, 86832, 237104, 803604, 1532518}},
+      {"mram plain full", kMram, false, kFull,
+       {246712, 2514, 93360, 267912, 847139, 1618463}},
+      {"mram packed score", kMram, true, kScore,
+       {240314, 2201, 85296, 236336, 820374, 1566025}},
+      {"mram packed full", kMram, true, kFull,
+       {252856, 2514, 91824, 267144, 863909, 1651970}},
+      {"wram plain score", kWram, false, kScore,
+       {191900, 68, 2776, 7372, 604428, 1152906}},
+      {"wram plain full", kWram, false, kFull,
+       {204442, 84, 3880, 9332, 640483, 1224191}},
+      {"wram packed score", kWram, true, kScore,
+       {198044, 68, 1240, 6604, 621198, 1186413}},
+      {"wram packed full", kWram, true, kFull,
+       {210586, 84, 2344, 8564, 657253, 1257698}},
+  };
+  // clang-format on
+  // Metadata in WRAM needs few tasklets and a bounded score cap (see
+  // WramPolicyMatchesHostWithFewTasklets); both policies share them here.
+  seq::GeneratorConfig config;
+  config.pairs = 16;
+  config.read_length = 64;
+  config.error_rate = 0.04;
+  config.seed = 41;
+  const seq::ReadPairSet batch = seq::generate_dataset(config);
+  for (const Cell& cell : cells) {
+    PimOptions options = tiny_options(2, 2, cell.policy);
+    options.max_score = 64;
+    options.packed_sequences = cell.packed;
+    PimBatchAligner aligner(options);
+    const PimBatchResult result = aligner.align_batch(batch, cell.scope);
+    expect_work(result.timings, cell.name, cell.work);
+  }
+}
+
+TEST(PimWork, TiledPairChargesArePinned) {
+  Rng rng(42);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 5000, 10));
+  batch.add(pimwfa::testing::random_pair(rng, 100, 3));
+  PimBatchAligner aligner(tiny_options(2, 4));
+  const PimBatchResult result =
+      aligner.align_batch(batch, AlignmentScope::kFull);
+  EXPECT_EQ(result.timings.tiled_pairs, 1u);
+  EXPECT_EQ(result.timings.tile_segments, 5u);
+  constexpr Work kWant = {121273, 670, 40264, 79092, 444010, 714763};
+  expect_work(result.timings, "tiled", kWant);
+}
+
+TEST(PimWork, PipelinedChargesArePinned) {
+  PimOptions options = tiny_options(2, 8);
+  options.pipeline = true;
+  options.pipeline_chunks = 3;
+  PimBatchAligner aligner(options);
+  const PimBatchResult result = aligner.align_batch(
+      seq::fig1_dataset(96, 0.02, 43), AlignmentScope::kFull);
+  EXPECT_EQ(result.timings.chunks, 3u);
+  constexpr Work kWant = {882474, 10023, 320208, 1042128, 881724, 1712417};
+  expect_work(result.timings, "pipelined", kWant);
+}
+
 // --- system reuse: a recycled PimSystem answers like a fresh one ---------
 
 // Runs `first` (full scope) and then `second` on one aligner, so `second`

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "upmem/system.hpp"
@@ -173,6 +175,21 @@ TEST_F(DmaTest, RejectsBadSizes) {
   EXPECT_NO_THROW(dma_.mram_to_wram(mram_, 0, wram_, 0, 2048));
 }
 
+TEST_F(DmaTest, WramToMramRejectsMisalignedMramAddress) {
+  EXPECT_THROW(dma_.wram_to_mram(wram_, 0, mram_, 4, 8), HardwareFault);
+}
+
+TEST_F(DmaTest, WramToMramRejectsMisalignedWramOffset) {
+  EXPECT_THROW(dma_.wram_to_mram(wram_, 4, mram_, 0, 8), HardwareFault);
+}
+
+TEST_F(DmaTest, WramToMramRejectsBadSizes) {
+  EXPECT_THROW(dma_.wram_to_mram(wram_, 0, mram_, 0, 4), HardwareFault);
+  EXPECT_THROW(dma_.wram_to_mram(wram_, 0, mram_, 0, 12), HardwareFault);
+  EXPECT_THROW(dma_.wram_to_mram(wram_, 0, mram_, 0, 4096), HardwareFault);
+  EXPECT_NO_THROW(dma_.wram_to_mram(wram_, 0, mram_, 0, 2048));
+}
+
 TEST_F(DmaTest, CyclesGrowWithSize) {
   EXPECT_LT(dma_.cycles(8), dma_.cycles(2048));
 }
@@ -268,6 +285,59 @@ TEST(Dpu, LaunchRunsAllTasklets) {
   EXPECT_EQ(combined.instructions, 80u);
   EXPECT_EQ(combined.dma_calls, 16u);
   EXPECT_EQ(combined.dma_bytes, 128u);
+  // Each 8-byte transfer costs setup (88) + 8 * 0.5 cycles.
+  EXPECT_EQ(combined.dma_cycles, 16u * (88u + 4u));
+}
+
+// Runs `body` as the kernel of a one-tasklet launch and returns the
+// HardwareFault message it raises ("" and a test failure if none).
+std::string launch_fault(const std::function<void(TaskletCtx&)>& body) {
+  class FnKernel final : public DpuKernel {
+   public:
+    explicit FnKernel(const std::function<void(TaskletCtx&)>& body)
+        : body_(body) {}
+    void run(TaskletCtx& ctx) override { body_(ctx); }
+
+   private:
+    const std::function<void(TaskletCtx&)>& body_;
+  };
+  const SystemConfig config = SystemConfig::tiny(1);
+  Dpu dpu(config, 0);
+  FnKernel kernel(body);
+  try {
+    dpu.launch(kernel, 1);
+  } catch (const HardwareFault& fault) {
+    return fault.what();
+  }
+  ADD_FAILURE() << "launch raised no HardwareFault";
+  return "";
+}
+
+TEST(Dpu, KernelMisalignedMramReadFaults) {
+  const auto body = [](TaskletCtx& ctx) {
+    ctx.mram_read(68, ctx.wram_alloc(8), 8);
+  };
+  EXPECT_EQ(launch_fault(body),
+            "hardware fault: DMA MRAM address 68 not 8-byte aligned "
+            "(is_aligned_pow2(mram_addr, config_->dma_align))");
+}
+
+TEST(Dpu, KernelOversizedMramWriteFaults) {
+  const auto body = [](TaskletCtx& ctx) {
+    ctx.mram_write(ctx.wram_alloc(4096), 0, 4096);
+  };
+  EXPECT_EQ(launch_fault(body),
+            "hardware fault: DMA size 4096 outside [8, 2048] "
+            "(bytes >= config_->dma_align && bytes <= "
+            "config_->dma_max_bytes)");
+}
+
+TEST(Dpu, KernelOutOfRangeWramPointerFaults) {
+  const auto body = [](TaskletCtx& ctx) { ctx.wram_ptr(65532, 8); };
+  EXPECT_EQ(launch_fault(body),
+            "hardware fault: WRAM access [65532, 65540) exceeds capacity "
+            "65536 (offset <= store_.size() && bytes <= store_.size() - "
+            "offset)");
 }
 
 TEST(Dpu, WramHeapExhaustionFaults) {
