@@ -4,9 +4,11 @@
 //
 // While the PIM system aligns a batch the 56-thread CPU sits idle (and
 // vice versa); the hybrid backend splits the batch proportionally to the
-// two sides' modeled throughputs so neither idles. This bench pins the
-// CPU model with a deterministic per-pair calibration (--cpu-t1) so the
-// modeled numbers are runner-independent, verifies the hybrid's
+// two sides' modeled throughputs so neither idles. This bench takes the
+// split of the modeled batch from the hybrid's plan, runs its PIM share on
+// a pim backend that simulates --sim-dpus DPUs and models its CPU share.
+// It pins the CPU model with a deterministic per-pair calibration
+// (--cpu-t1) so the modeled numbers are runner-independent, verifies the
 // materialized results stay bit-identical to the pure PIM backend, and
 // reports hybrid vs best-single-backend throughput; with --json it emits
 // the BENCH_hybrid.json that the perf-smoke CI job gates on.
@@ -25,6 +27,7 @@
 #include "common/strings.hpp"
 #include "pim/host.hpp"
 #include "seq/generator.hpp"
+#include "seq/view.hpp"
 #include "upmem/config.hpp"
 
 int main(int argc, char** argv) {
@@ -105,10 +108,38 @@ int main(int argc, char** argv) {
             << sim_dpus << " of " << system.nr_dpus()
             << " DPUs simulated)\n\n";
 
-  align::HybridBatchAligner hybrid(options, {modeled_pairs, sim_dpus});
-  const align::BatchResult result = hybrid.run(batch, scope);
-  const align::BatchTimings& t = result.timings;
-  const double best_alone = std::min(t.cpu_alone_seconds, t.pim_alone_seconds);
+  // The paper-scale hybrid: the split of the modeled batch comes from the
+  // hybrid's plan; the PIM share runs on a pim backend that simulates only
+  // the first --sim-dpus DPUs (its pairs are the ones materialized), and
+  // the CPU share is modeled from the calibrated alone-time (the roofline
+  // is the max of two terms linear in the pair count).
+  const u64 copied_before =
+      seq::bases_copied_counter().load(std::memory_order_relaxed);
+  const align::HybridBatchAligner hybrid(options);
+  const align::HybridBatchAligner::Plan plan =
+      hybrid.plan(batch, scope, nullptr, modeled_pairs);
+  pim::PimBatchResult pim_share;
+  if (plan.pim_pairs > 0) {
+    const usize pim_materialized = std::min(batch.size(), plan.pim_pairs);
+    pim::PimOptions share_options = pim::PimOptions::from(options);
+    share_options.simulate_dpus = sim_dpus;
+    share_options.virtual_total_pairs =
+        plan.pim_pairs > pim_materialized ? plan.pim_pairs : 0;
+    pim::PimBatchAligner pim_side(share_options);
+    pim_share = pim_side.align_batch(
+        seq::ReadPairSpan(batch).first(pim_materialized), scope);
+  }
+  const pim::PimTimings& pt = pim_share.timings;
+  const double pim_seconds = pt.total_seconds();
+  const double cpu_seconds = plan.cpu_alone_seconds *
+                             static_cast<double>(plan.cpu_pairs) /
+                             static_cast<double>(plan.pairs);
+  const double hybrid_seconds = std::max(cpu_seconds, pim_seconds);
+  const u64 bases_copied =
+      seq::bases_copied_counter().load(std::memory_order_relaxed) -
+      copied_before;
+  const double best_alone =
+      std::min(plan.cpu_alone_seconds, plan.pim_alone_seconds);
   const double pairs_f = static_cast<double>(modeled_pairs);
 
   std::cout << strprintf("  %-18s %12s %12s\n", "config", "modeled",
@@ -120,41 +151,41 @@ int main(int argc, char** argv) {
                            with_commas(static_cast<u64>(pairs_f / seconds))
                                .c_str());
   };
-  row("CPU 56t alone", t.cpu_alone_seconds);
+  row("CPU 56t alone", plan.cpu_alone_seconds);
   row(pipeline ? "PIM alone (pipe)" : "PIM alone (sync)",
-      t.pim_alone_seconds);
-  row("hybrid", t.modeled_seconds);
+      plan.pim_alone_seconds);
+  row("hybrid", hybrid_seconds);
   std::cout << strprintf(
       "\n  split: %s pairs on CPU (%.1f%%), %s on PIM; hybrid %.2fx the "
       "best single backend\n",
-      with_commas(t.cpu_pairs).c_str(), t.cpu_fraction * 100,
-      with_commas(t.pim_pairs).c_str(), best_alone / t.modeled_seconds);
+      with_commas(plan.cpu_pairs).c_str(), plan.cpu_fraction * 100,
+      with_commas(plan.pim_pairs).c_str(), best_alone / hybrid_seconds);
   std::cout << strprintf(
       "  shares: CPU %s, PIM %s (scatter %s + kernel %s + gather %s)\n",
-      format_seconds(t.cpu_modeled_seconds).c_str(),
-      format_seconds(t.pim_modeled_seconds).c_str(),
-      format_seconds(t.scatter_seconds).c_str(),
-      format_seconds(t.kernel_seconds).c_str(),
-      format_seconds(t.gather_seconds).c_str());
+      format_seconds(cpu_seconds).c_str(), format_seconds(pim_seconds).c_str(),
+      format_seconds(pt.scatter_seconds).c_str(),
+      format_seconds(pt.kernel_seconds).c_str(),
+      format_seconds(pt.gather_seconds).c_str());
 
   // Bit-identity: the hybrid's materialized prefix (the simulated DPUs'
   // share of its PIM side) must equal the pure PIM backend on the same
-  // pairs. Both sides must materialize something, or the check is vacuous.
+  // pairs, distributed over the whole modeled batch. Both sides must
+  // materialize something, or the check is vacuous.
   pim::PimOptions pim_options = pim::PimOptions::from(options);
   pim_options.virtual_total_pairs = modeled_pairs;
   pim_options.simulate_dpus = sim_dpus;
   const align::BatchResult reference =
       pim::PimBatchAligner(pim_options).run(batch, scope);
-  if (result.results.empty() || reference.results.empty()) {
+  const std::vector<align::AlignmentResult>& results = pim_share.results;
+  if (results.empty() || reference.results.empty()) {
     std::cerr << "hybrid: nothing to verify - the hybrid materialized "
-              << result.results.size() << " results and the pim backend "
+              << results.size() << " results and the pim backend "
               << reference.results.size() << "\n";
     return 1;
   }
-  const usize verified =
-      std::min(result.results.size(), reference.results.size());
+  const usize verified = std::min(results.size(), reference.results.size());
   for (usize i = 0; i < verified; ++i) {
-    if (!(result.results[i] == reference.results[i])) {
+    if (!(results[i] == reference.results[i])) {
       std::cerr << "hybrid: result divergence vs the pim backend on pair "
                 << i << "\n";
       return 1;
@@ -195,7 +226,7 @@ int main(int argc, char** argv) {
   std::cout << "  sharded : 4 view shards bit-identical to the unsharded "
                "run, "
             << sharded.timings.bases_copied << " bases copied (hybrid run: "
-            << t.bases_copied << ")\n";
+            << bases_copied << ")\n";
 
   BenchReport report("hybrid");
   report.set_param("pairs", static_cast<i64>(modeled_pairs));
@@ -206,18 +237,27 @@ int main(int argc, char** argv) {
   report.set_param("pipeline", pipeline ? "true" : "false");
   report.set_param("cpu_simd", cpu_simd ? "true" : "false");
   report.set_param("full_alignment", score_only ? "false" : "true");
-  report.add_metric("cpu_alone_seconds", t.cpu_alone_seconds, "s");
-  report.add_metric("pim_alone_seconds", t.pim_alone_seconds, "s");
-  report.add_metric("hybrid_seconds", t.modeled_seconds, "s");
-  report.add_metric("hybrid_throughput", pairs_f / t.modeled_seconds,
-                    "pairs/s");
-  report.add_metric("cpu_fraction", t.cpu_fraction);
+  report.add_metric("cpu_alone_seconds", plan.cpu_alone_seconds, "s");
+  report.add_metric("pim_alone_seconds", plan.pim_alone_seconds, "s");
+  report.add_metric("hybrid_seconds", hybrid_seconds, "s");
+  report.add_metric("hybrid_throughput", pairs_f / hybrid_seconds, "pairs/s");
+  report.add_metric("cpu_fraction", plan.cpu_fraction);
   report.add_metric("hybrid_vs_best_single_throughput",
-                    best_alone / t.modeled_seconds, "x");
+                    best_alone / hybrid_seconds, "x");
   report.add_metric("verified_pairs", static_cast<double>(verified));
+  // The split and the PIM share's simulated work: exact for a fixed seed,
+  // so the CI baseline pins each.
+  report.add_metric("cpu_pairs", static_cast<double>(plan.cpu_pairs));
+  report.add_metric("pim_pairs", static_cast<double>(plan.pim_pairs));
+  report.add_metric("pim_kernel_cycles",
+                    static_cast<double>(pt.kernel_cycles_max), "cycles");
+  report.add_metric("pim_bytes_to_device",
+                    static_cast<double>(pt.bytes_to_device), "bytes");
+  report.add_metric("pim_bytes_from_device",
+                    static_cast<double>(pt.bytes_from_device), "bytes");
   // Zero-copy tripwires: bases deep-copied to carve the hybrid split and
   // the engine's shards. The CI baseline pins both to exactly 0.
-  report.add_metric("bases_copied", static_cast<double>(t.bases_copied));
+  report.add_metric("bases_copied", static_cast<double>(bases_copied));
   report.add_metric("sharded_bases_copied",
                     static_cast<double>(sharded.timings.bases_copied));
   // Measured, but runner-speed independent: CI caps both with a ceiling.
@@ -228,8 +268,8 @@ int main(int argc, char** argv) {
     std::cout << "\nBenchReport written to " << json << "\n";
   }
 
-  if (t.modeled_seconds > best_alone) {
-    std::cerr << "hybrid: modeled time " << t.modeled_seconds
+  if (hybrid_seconds > best_alone) {
+    std::cerr << "hybrid: modeled time " << hybrid_seconds
               << "s exceeds the best single backend (" << best_alone
               << "s)\n";
     return 1;

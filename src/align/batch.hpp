@@ -93,8 +93,7 @@ struct BatchTimings {
   // backends, max(cpu share, pim share) for the hybrid split.
   double modeled_seconds = 0;
 
-  usize pairs = 0;         // modeled batch size (>= materialized)
-  usize materialized = 0;  // pairs with results (a prefix of the batch)
+  usize pairs = 0;  // modeled batch size (>= results.size())
 
   // CPU-side detail (cpu + hybrid backends).
   double cpu_wall_seconds = 0;
@@ -140,9 +139,10 @@ struct BatchTimings {
 
 struct BatchResult {
   // Results for pairs [0, results.size()), a contiguous prefix of the
-  // input batch: the whole batch unless the backend simulates only part
-  // of the system (PimOptions::simulate_dpus, or a hybrid built with a
-  // VirtualBatch).
+  // input batch: the whole batch unless the backend is a pim backend that
+  // simulates only part of the system (PimOptions::simulate_dpus). The
+  // align/ drivers (BatchEngine::run_sharded, AlignService) reject such
+  // a partial batch.
   std::vector<AlignmentResult> results;
   BatchTimings timings;
   std::string backend;  // registry key of the backend that ran

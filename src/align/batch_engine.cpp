@@ -1,6 +1,7 @@
 #include "align/batch_engine.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -152,21 +153,19 @@ BatchResult BatchEngine::run_sharded(seq::ReadPairSpan batch,
   out.backend = backend_->name();
   BatchTimings& t = out.timings;
   out.results.reserve(batch.size());
-  // Input-order merge: shards are contiguous slices in submission order,
-  // and each shard's results are a prefix of its slice. A partially
-  // materialized shard (PimOptions::simulate_dpus) ends the merged prefix
-  // there - appending later shards would misalign results with input
-  // indices.
-  bool contiguous = true;
+  // Input-order merge: shards are contiguous slices in submission order.
   for (usize shard_index = 0; shard_index < completed.size(); ++shard_index) {
     BatchResult& shard = completed[shard_index];
-    if (contiguous) {
-      out.results.insert(out.results.end(),
-                         std::make_move_iterator(shard.results.begin()),
-                         std::make_move_iterator(shard.results.end()));
-      const auto [begin, end] = ranges[shard_index];
-      if (shard.results.size() < end - begin) contiguous = false;
+    const usize pairs = ranges[shard_index].second - ranges[shard_index].first;
+    if (shard.results.size() < pairs) {
+      throw Error("run_sharded requires fully materialized backends: shard " +
+                  std::to_string(shard_index) + " returned " +
+                  std::to_string(shard.results.size()) + " results for " +
+                  std::to_string(pairs) + " pairs");
     }
+    out.results.insert(out.results.end(),
+                       std::make_move_iterator(shard.results.begin()),
+                       std::make_move_iterator(shard.results.end()));
     const BatchTimings& s = shard.timings;
     t.modeled_seconds += s.modeled_seconds;
     t.pairs += s.pairs;
@@ -185,7 +184,6 @@ BatchResult BatchEngine::run_sharded(seq::ReadPairSpan batch,
     // backend run (and are zero since the view migration).
     t.bases_copied += s.bases_copied;
   }
-  t.materialized = out.results.size();
   t.cpu_fraction = t.pairs > 0 ? static_cast<double>(t.cpu_pairs) /
                                      static_cast<double>(t.pairs)
                                : 0.0;

@@ -92,14 +92,14 @@ class BatchEngine {
   // (in flight together up to max_in_flight), and merge the results back
   // in input order. Modeled times add up across shards - the shards
   // occupy the same modeled hardware back to back - while wall time
-  // reflects the overlapped simulation. A backend that materializes only
-  // a prefix of a shard (a partially simulated pim::PimBatchAligner) ends
-  // the merged results at that shard's last result.
+  // reflects the overlapped simulation.
   //
   // Error path: every in-flight shard is drained before an error is
   // rethrown (first one wins, like ThreadPool::parallel_for) - a failing
   // shard never leaves later shards running against storage this frame
-  // no longer guards.
+  // no longer guards. A shard with fewer results than pairs (a pim
+  // backend with PimOptions::simulate_dpus) fails the call with Error,
+  // as AlignService fails a short batch.
   BatchResult run_sharded(seq::ReadPairSpan batch, AlignmentScope scope,
                           usize shards);
 

@@ -36,8 +36,9 @@ struct BatchFlags {
 //   --dpus --tasklets --packed --pipeline --chunks
 //   --cpu-fraction --cpu-simd --simd-threshold --memory
 //   --pairs --read-length --error-rate --seed --score-only
-// Backends built from the result simulate every DPU (paper-scale virtual
-// batches are the benches' own, see align::VirtualBatch).
+// Backends built from the result simulate every DPU and return every
+// pair's result (a partial batch needs PimOptions::simulate_dpus, which
+// only the paper-scale benches set).
 // Throws InvalidArgument when --backend names an unregistered backend.
 BatchFlags parse_batch_flags(Cli& cli, const BatchFlags& defaults = {});
 

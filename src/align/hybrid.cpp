@@ -16,10 +16,14 @@
 
 namespace pimwfa::align {
 
-HybridBatchAligner::HybridBatchAligner(BatchOptions options, VirtualBatch shape)
-    : options_(std::move(options)), shape_(shape) {
+HybridBatchAligner::HybridBatchAligner(BatchOptions options)
+    : options_(std::move(options)) {
   options_.validate();
+  cpu_ = std::make_unique<cpu::CpuBatchAligner>(options_);
+  pim_ = std::make_unique<pim::PimBatchAligner>(options_);
 }
+
+HybridBatchAligner::~HybridBatchAligner() = default;
 
 HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
     seq::ReadPairSpan batch, AlignmentScope scope, ThreadPool* pool,
@@ -91,8 +95,7 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
   // (pim_alone_seconds then stays 0 in the plan and timings).
   if (forced < 0) {
     pim::PimOptions probe = pim::PimOptions::from(options_);
-    probe.simulate_dpus = shape_.simulate_dpus;
-    probe.virtual_total_pairs = shape_.pairs;
+    probe.virtual_total_pairs = pairs;
     if (pim::PimBatchAligner(probe).needs_tiling(batch, scope)) {
       // Long pairs tile across every DPU, so the virtual-prefix /
       // single-simulated-DPU probe below cannot represent the run (and
@@ -102,7 +105,6 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
       // time is ~inversely proportional to DPU count.
       const usize sample_pairs = std::min(materialized, kCalibrationPairs);
       pim::PimOptions tiled_probe = probe;
-      tiled_probe.simulate_dpus = 0;
       tiled_probe.virtual_total_pairs = 0;
       const usize probe_dpus = std::min<usize>(probe.system.nr_dpus(), 4);
       tiled_probe.system = upmem::SystemConfig::tiny(probe_dpus);
@@ -116,7 +118,6 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
            static_cast<double>(probe.system.nr_dpus()));
     } else {
       probe.simulate_dpus = 1;
-      probe.virtual_total_pairs = pairs;
       const usize share0 =
           pim::PimBatchAligner::dpu_pair_range(pairs,
                                                probe.system.nr_dpus(), 0)
@@ -135,15 +136,16 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
 
 HybridBatchAligner::Plan HybridBatchAligner::plan(seq::ReadPairSpan batch,
                                                   AlignmentScope scope,
-                                                  ThreadPool* pool) const {
+                                                  ThreadPool* pool,
+                                                  usize modeled_pairs) const {
   // Validate the borrow before keying the calibration cache on the
   // batch's shape (checked builds): the probe sub-spans carved below
   // inherit this span's borrow and re-validate on their own accesses.
   batch.check_valid();
   Plan out;
   const usize materialized = batch.size();
-  out.pairs = shape_.pairs != 0 ? std::max(shape_.pairs, materialized)
-                                : materialized;
+  out.pairs = modeled_pairs != 0 ? std::max(modeled_pairs, materialized)
+                                 : materialized;
   if (out.pairs == 0) return out;
   PIMWFA_ARG_CHECK(materialized > 0,
                    "hybrid calibration needs materialized pairs");
@@ -197,8 +199,8 @@ BatchResult HybridBatchAligner::run(seq::ReadPairSpan batch,
       seq::bases_copied_counter().load(std::memory_order_relaxed);
   BatchResult out;
   out.backend = name();
-  const usize materialized = batch.size();
-  if (materialized == 0 && shape_.pairs == 0) return out;
+  const usize n = batch.size();
+  if (n == 0) return out;
 
   const Plan split = plan(batch, scope, pool);
   BatchTimings& t = out.timings;
@@ -209,18 +211,10 @@ BatchResult HybridBatchAligner::run(seq::ReadPairSpan batch,
   t.cpu_alone_seconds = split.cpu_alone_seconds;
   t.pim_alone_seconds = split.pim_alone_seconds;
 
-  // --- PIM share: the virtual prefix [0, pim_pairs) ---------------------
-  usize pim_materialized = 0;
-  bool pim_complete = true;
+  // --- PIM share: the prefix [0, pim_pairs) -----------------------------
   if (split.pim_pairs > 0) {
-    pim_materialized = std::min(materialized, split.pim_pairs);
-    pim::PimOptions pim_options = pim::PimOptions::from(options_);
-    pim_options.simulate_dpus = shape_.simulate_dpus;
-    pim_options.virtual_total_pairs =
-        split.pim_pairs > pim_materialized ? split.pim_pairs : 0;
-    pim::PimBatchAligner pim_side(pim_options);
     pim::PimBatchResult pim_result =
-        pim_side.align_batch(batch.subspan(0, pim_materialized), scope, pool);
+        pim_->align_batch(batch.first(split.pim_pairs), scope, pool);
     const pim::PimTimings& pt = pim_result.timings;
     t.pim_modeled_seconds = pt.total_seconds();
     t.scatter_seconds = pt.scatter_seconds;
@@ -229,33 +223,24 @@ BatchResult HybridBatchAligner::run(seq::ReadPairSpan batch,
     t.bytes_to_device = pt.bytes_to_device;
     t.bytes_from_device = pt.bytes_from_device;
     t.pipeline_chunks = pt.chunks;
-    pim_complete = pim_result.results.size() == pim_materialized;
     out.results = std::move(pim_result.results);
   }
 
-  // --- CPU share: the virtual suffix [pim_pairs, pairs) -----------------
+  // --- CPU share: the suffix [pim_pairs, n) -----------------------------
   if (split.cpu_pairs > 0) {
     // Modeled share time scales linearly out of the calibrated alone-time
     // (the roofline is the max of two terms linear in the pair count).
     t.cpu_modeled_seconds = split.cpu_alone_seconds *
                             static_cast<double>(split.cpu_pairs) /
                             static_cast<double>(split.pairs);
-    // Align the CPU share only when its results can extend the PIM
-    // side's contiguous prefix; a partially simulated PIM side would
-    // force them to be discarded anyway.
-    if (pim_complete && materialized > split.pim_pairs) {
-      const cpu::CpuBatchAligner cpu_side(
-          cpu::CpuBatchOptions::from(options_));
-      cpu::CpuBatchResult cpu_result = cpu_side.align_batch(
-          batch.subspan(split.pim_pairs, materialized), scope, pool);
-      t.cpu_wall_seconds = cpu_result.seconds;
-      out.results.insert(out.results.end(),
-                         std::make_move_iterator(cpu_result.results.begin()),
-                         std::make_move_iterator(cpu_result.results.end()));
-    }
+    cpu::CpuBatchResult cpu_result =
+        cpu_->align_batch(batch.subspan(split.pim_pairs, n), scope, pool);
+    t.cpu_wall_seconds = cpu_result.seconds;
+    out.results.insert(out.results.end(),
+                       std::make_move_iterator(cpu_result.results.begin()),
+                       std::make_move_iterator(cpu_result.results.end()));
   }
 
-  t.materialized = out.results.size();
   t.modeled_seconds = std::max(t.cpu_modeled_seconds, t.pim_modeled_seconds);
   t.bases_copied =
       seq::bases_copied_counter().load(std::memory_order_relaxed) -

@@ -11,13 +11,14 @@
 // is max(cpu share, pim share), which a throughput-proportional split
 // drives to T_cpu * T_pim / (T_cpu + T_pim) <= min(T_cpu, T_pim).
 //
-// Split layout: the PIM side takes the virtual prefix [0, pim_pairs) and
-// the CPU side the suffix [pim_pairs, n). A prefix for the PIM side keeps
-// its virtual-batch machinery intact (materialized pairs must prefix the
-// virtual batch), so the hybrid composes with a paper-scale VirtualBatch
-// (below) as well as with the packed and pipelined PIM variants. Both
-// shares are O(1) sub-views of the input span - the split itself moves
-// zero bases.
+// Split layout: the PIM side takes the prefix [0, pim_pairs) and the CPU
+// side the suffix [pim_pairs, n), through two backends built once at
+// construction (so the PIM side keeps its PimSystems pooled across runs).
+// Every pair of the input is aligned. The one source of a partial batch
+// is PimOptions::simulate_dpus, which a hybrid never sets: a paper-scale
+// run takes its split from plan(..., modeled_pairs) and runs the PIM
+// share on a pim backend of its own (bench/hybrid.cpp). Both shares are
+// O(1) sub-views of the input span - the split itself moves zero bases.
 //
 // Calibration caching: the CPU sample and the 1-DPU PIM probe are paid
 // once per batch configuration (shape + scope), not once per run. The
@@ -31,28 +32,28 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 
 #include "align/batch.hpp"
 #include "common/thread_safety.hpp"
 
-namespace pimwfa::align {
+// The two sides, held by pointer so this header stays below the cpu/ and
+// pim/ layers.
+namespace pimwfa::cpu {
+class CpuBatchAligner;
+}  // namespace pimwfa::cpu
+namespace pimwfa::pim {
+class PimBatchAligner;
+}  // namespace pimwfa::pim
 
-// The paper-scale shape of the batches a hybrid models: `pairs` modeled
-// pairs (0 = the input is the whole batch), of which the input holds a
-// prefix, with only the first `simulate_dpus` DPUs of the PIM share
-// functionally simulated (0 = all; see pim::PimOptions). A hybrid with a
-// nonzero shape may return results for a prefix of its input only, which
-// is why the registry never builds one: it is a bench and model
-// instrument. Declared at namespace scope so that it can default a
-// constructor argument of HybridBatchAligner.
-struct VirtualBatch {
-  usize pairs = 0;
-  usize simulate_dpus = 0;
-};
+namespace pimwfa::align {
 
 class HybridBatchAligner final : public BatchAligner {
  public:
-  explicit HybridBatchAligner(BatchOptions options, VirtualBatch shape = {});
+  // Builds both sides from `options`; throws InvalidArgument for an option
+  // either side rejects.
+  explicit HybridBatchAligner(BatchOptions options);
+  ~HybridBatchAligner() override;
 
   // Pairs sampled for the CPU-side calibration measurement (and for the
   // tiled PIM probe of long-pair batches).
@@ -60,9 +61,9 @@ class HybridBatchAligner final : public BatchAligner {
 
   // The calibrated split and the modeled alone-times it derives from.
   struct Plan {
-    usize pairs = 0;      // modeled batch size (the VirtualBatch's, if set)
-    usize cpu_pairs = 0;  // virtual suffix routed to the CPU
-    usize pim_pairs = 0;  // virtual prefix routed to the PIM side
+    usize pairs = 0;      // modeled batch size (modeled_pairs, if set)
+    usize cpu_pairs = 0;  // suffix routed to the CPU
+    usize pim_pairs = 0;  // prefix routed to the PIM side
     double cpu_fraction = 0;
     // Modeled whole-batch alone-times. Calibrated splits fill both; a
     // forced hybrid_cpu_fraction skips the PIM probe (pim_alone_seconds
@@ -77,8 +78,12 @@ class HybridBatchAligner final : public BatchAligner {
   // configured override for) the CPU per-pair cost on a small sample and
   // models the PIM side by simulating a single DPU's share. Served from
   // the calibration cache when this configuration has calibrated before.
+  // `modeled_pairs` is the modeled batch size, of which `batch` holds a
+  // prefix (0 = the batch itself); a paper-scale split needs only the
+  // first DPU's share of it materialized.
   Plan plan(seq::ReadPairSpan batch, AlignmentScope scope,
-            ThreadPool* pool = nullptr) const PIMWFA_EXCLUDES(cache_mutex_);
+            ThreadPool* pool = nullptr, usize modeled_pairs = 0) const
+      PIMWFA_EXCLUDES(cache_mutex_);
 
   BatchResult run(seq::ReadPairSpan batch, AlignmentScope scope,
                   ThreadPool* pool = nullptr) override
@@ -98,8 +103,8 @@ class HybridBatchAligner final : public BatchAligner {
   // What makes two batches share a calibration: the modeled batch size,
   // how much of it is materialized (bounds the CPU sample and the probe's
   // input), the per-pair MRAM slot geometry (max sequence lengths) and
-  // the alignment scope. Options and shape are not part of the key
-  // because the cache is per-instance and both are fixed at construction.
+  // the alignment scope. The options are not part of the key because the
+  // cache is per-instance and they are fixed at construction.
   //
   // The key is deliberately shape-only: a calibration is a model
   // *estimate*, and same-shape batches are assumed workload-homogeneous
@@ -131,7 +136,10 @@ class HybridBatchAligner final : public BatchAligner {
       PIMWFA_REQUIRES(cache_mutex_);
 
   const BatchOptions options_;
-  const VirtualBatch shape_;
+  // Built once, shared by concurrent runs: both are safe to call on
+  // distinct batches.
+  std::unique_ptr<cpu::CpuBatchAligner> cpu_;
+  std::unique_ptr<pim::PimBatchAligner> pim_;
   mutable Mutex cache_mutex_;
   mutable std::map<CalibrationKey, Calibration> cache_
       PIMWFA_GUARDED_BY(cache_mutex_);

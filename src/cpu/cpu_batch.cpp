@@ -120,7 +120,6 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
   align::BatchTimings& t = out.timings;
   t.cpu_wall_seconds = native.seconds;
   t.pairs = pairs;
-  t.materialized = pairs;
   t.cpu_pairs = pairs;
   t.cpu_fraction = 1.0;
   t.peak_wavefront_bytes = native.work.peak_wavefront_bytes;

@@ -12,20 +12,10 @@ namespace pimwfa::pim {
 namespace {
 
 using wfa::kOffsetNone;
+using wfa::mismatch_candidate;
 using wfa::Offset;
 
 constexpr const KernelCosts& kCosts = kDefaultKernelCosts;
-
-// Mismatch-predecessor candidate, trimmed against sequence bounds. Must be
-// byte-identical to the host-side helper in wfa_aligner.cpp so that DPU
-// and CPU alignments agree exactly.
-inline Offset mismatch_candidate(Offset prev, i32 k, i32 plen,
-                                 i32 tlen) noexcept {
-  if (!wfa::offset_reachable(prev)) return kOffsetNone;
-  const Offset off = prev + 1;
-  if (off > tlen || off - k > plen) return kOffsetNone;
-  return off;
-}
 
 inline Offset max3(Offset a, Offset b, Offset c) noexcept {
   return std::max(a, std::max(b, c));

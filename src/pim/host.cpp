@@ -496,7 +496,6 @@ align::BatchResult PimBatchAligner::run(seq::ReadPairSpan batch,
   t.wall_seconds = timer.seconds();
   t.modeled_seconds = pt.total_seconds();
   t.pairs = pt.pairs;
-  t.materialized = out.results.size();
   t.pim_modeled_seconds = t.modeled_seconds;
   t.scatter_seconds = pt.scatter_seconds;
   t.kernel_seconds = pt.kernel_seconds;

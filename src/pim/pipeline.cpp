@@ -25,35 +25,27 @@ PipelineModel PipelineModel::from_chunks(std::span<const ChunkTiming> chunks) {
   if (chunks.empty()) return model;
 
   // The scatter and gather buses are serial resources. The kernel stage is
-  // either serial too (no per-DPU detail: chunk c's kernel waits for the
-  // previous chunk's on every DPU) or tracked per DPU (async launches:
-  // each DPU advances independently; a chunk's gather waits for all DPUs
-  // to finish that chunk).
-  const bool per_dpu = !chunks.front().dpu_kernel_seconds.empty();
-  std::vector<double> dpu_free;
-  if (per_dpu) {
-    dpu_free.assign(chunks.front().dpu_kernel_seconds.size(), 0.0);
-  }
+  // tracked per DPU (async launches): each DPU advances independently, and
+  // a chunk's gather waits for all DPUs to finish that chunk.
+  std::vector<double> dpu_free(chunks.front().dpu_kernel_seconds.size(), 0.0);
   double scatter_free = 0;
   double kernel_free = 0;
   double gather_free = 0;
   double additive = 0;
   for (const ChunkTiming& chunk : chunks) {
+    PIMWFA_ARG_CHECK(!chunk.dpu_kernel_seconds.empty(),
+                     "pipeline chunk without per-DPU kernel seconds");
     scatter_free += chunk.scatter_seconds;
-    if (per_dpu) {
-      const double ready = scatter_free + chunk.launch_overhead_seconds;
-      double slowest = 0;
-      for (usize d = 0; d < dpu_free.size(); ++d) {
-        const double k = d < chunk.dpu_kernel_seconds.size()
-                             ? chunk.dpu_kernel_seconds[d]
-                             : 0.0;
-        dpu_free[d] = std::max(ready, dpu_free[d]) + k;
-        slowest = std::max(slowest, dpu_free[d]);
-      }
-      kernel_free = slowest;
-    } else {
-      kernel_free = std::max(scatter_free, kernel_free) + chunk.kernel_seconds;
+    const double ready = scatter_free + chunk.launch_overhead_seconds;
+    double slowest = 0;
+    for (usize d = 0; d < dpu_free.size(); ++d) {
+      const double k = d < chunk.dpu_kernel_seconds.size()
+                           ? chunk.dpu_kernel_seconds[d]
+                           : 0.0;
+      dpu_free[d] = std::max(ready, dpu_free[d]) + k;
+      slowest = std::max(slowest, dpu_free[d]);
     }
+    kernel_free = slowest;
     gather_free = std::max(kernel_free, gather_free) + chunk.gather_seconds;
     additive += chunk.scatter_seconds + chunk.kernel_seconds +
                 chunk.gather_seconds;

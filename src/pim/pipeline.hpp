@@ -40,12 +40,12 @@ namespace pimwfa::pim {
 // Modeled stage costs of one chunk.
 struct ChunkTiming {
   double scatter_seconds = 0;
-  // Kernel stage busy time (slowest DPU + launch overhead). Used directly
-  // as a serial stage when no per-DPU detail is provided.
+  // Kernel stage busy time (slowest DPU + launch overhead): the chunk's
+  // share of the additive (synchronous) total.
   double kernel_seconds = 0;
   double gather_seconds = 0;
 
-  // Optional async-launch detail: per-DPU kernel seconds for this chunk,
+  // Async-launch detail, required: per-DPU kernel seconds for this chunk,
   // plus the host dispatch cost. UPMEM hosts launch ranks asynchronously,
   // so a DPU may start its chunk i+1 as soon as its own chunk i finished
   // and the data arrived - only the gather of a chunk waits for every DPU.
@@ -63,6 +63,7 @@ struct PipelineModel {
   double steady_state_seconds = 0; // total - fill - drain
   double overlap_saved_seconds = 0;// additive sum - total
 
+  // Throws InvalidArgument for a chunk without dpu_kernel_seconds.
   static PipelineModel from_chunks(std::span<const ChunkTiming> chunks);
 };
 

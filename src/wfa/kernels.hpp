@@ -28,8 +28,8 @@ inline constexpr usize kWavefrontPad = 8;
 
 // Mismatch-predecessor candidate for M[s][k]: advance one along the
 // diagonal, trimmed against the sequence bounds (h <= tlen, v <= plen).
-// Shared by compute_row, the backtrace and the SIMD kernels so all see
-// identical values.
+// Shared by compute_row, the backtrace, the SIMD kernels and the DPU
+// kernel (pim/dpu_wfa_kernel.cpp) so all see identical values.
 inline Offset mismatch_candidate(Offset prev, i32 k, i32 plen,
                                  i32 tlen) noexcept {
   if (!offset_reachable(prev)) return kOffsetNone;

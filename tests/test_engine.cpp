@@ -94,6 +94,18 @@ TEST(BackendRegistry, DuplicateRegistrationThrows) {
   EXPECT_THROW(registry.add("custom", "again", factory), InvalidArgument);
 }
 
+// A PIM option the pim backend rejects fails at construction for the
+// hybrid too, which builds its PIM side up front.
+TEST(BackendRegistry, CreateRejectsAnInvalidPimOptionForPimAndHybrid) {
+  BatchOptions options = tiny_options();
+  options.pim_tasklets = 100;
+  for (const std::string key : {"pim", "hybrid"}) {
+    EXPECT_THROW(align::backend_registry().create(key, options),
+                 InvalidArgument)
+        << key;
+  }
+}
+
 TEST(BackendRegistry, BackendNamesMatchTheirKeys) {
   for (const std::string& key : kBuiltinBackends) {
     const auto backend =
@@ -125,7 +137,6 @@ TEST(UnifiedRun, CpuBackendMatchesNativeBatchApi) {
   }
   EXPECT_EQ(unified.backend, "cpu");
   EXPECT_EQ(unified.timings.pairs, batch.size());
-  EXPECT_EQ(unified.timings.materialized, batch.size());
   EXPECT_EQ(unified.timings.cpu_fraction, 1.0);
   EXPECT_GT(unified.timings.modeled_seconds, 0.0);
   EXPECT_GT(unified.timings.wall_seconds, 0.0);
@@ -244,14 +255,16 @@ TEST(Hybrid, CalibratedSplitIsConsistentAndCompleteOnTinySystems) {
 }
 
 // The acceptance-criteria configuration: paper-shaped and transfer-bound
-// (full 2560-DPU system, virtual batch, E=2% 100bp full alignment), with
-// a deterministic CPU calibration override so the split does not depend
-// on host speed. The hybrid's modeled end-to-end time must beat both
-// sides alone.
+// (full 2560-DPU system, E=2% 100bp full alignment), with a deterministic
+// CPU calibration override so the split does not depend on host speed.
+// The run is the one bench_hybrid assembles: the hybrid's plan for the
+// modeled batch, its PIM share on a pim backend that simulates only the
+// first DPUs, and its CPU share modeled from the calibrated alone-time.
+// The modeled end-to-end time must beat both sides alone.
 TEST(Hybrid, PaperShapeModeledTimeBeatsBothBackendsAlone) {
   constexpr usize kSimulatedDpus = 2;
   constexpr usize kMaterialized = 200;
-  constexpr usize kVirtualPairs = 2560 * (kMaterialized / kSimulatedDpus);
+  constexpr usize kModeledPairs = 2560 * (kMaterialized / kSimulatedDpus);
   const seq::ReadPairSet batch = small_batch(kMaterialized, 0x7A9E);
 
   BatchOptions options;
@@ -261,40 +274,45 @@ TEST(Hybrid, PaperShapeModeledTimeBeatsBothBackendsAlone) {
   // deterministic (no host measurement).
   options.cpu_per_pair_seconds = 5e-6;
 
-  align::HybridBatchAligner hybrid(options, {kVirtualPairs, kSimulatedDpus});
+  align::HybridBatchAligner hybrid(options);
   const align::HybridBatchAligner::Plan plan =
-      hybrid.plan(batch, AlignmentScope::kFull);
+      hybrid.plan(batch, AlignmentScope::kFull, nullptr, kModeledPairs);
   ASSERT_GT(plan.cpu_pairs, 0u);
   ASSERT_GT(plan.pim_pairs, 0u);
+  EXPECT_EQ(plan.pairs, kModeledPairs);
+  EXPECT_EQ(plan.cpu_pairs + plan.pim_pairs, kModeledPairs);
 
-  const BatchResult result = hybrid.run(batch, AlignmentScope::kFull);
-  const align::BatchTimings& t = result.timings;
-  const double best_alone =
-      std::min(t.cpu_alone_seconds, t.pim_alone_seconds);
-  EXPECT_GT(t.modeled_seconds, 0.0);
-  EXPECT_LT(t.modeled_seconds, best_alone)
-      << "hybrid " << t.modeled_seconds << "s vs cpu " << t.cpu_alone_seconds
-      << "s / pim " << t.pim_alone_seconds << "s";
-
-  // The virtual shape reaches the timings, and only the simulated DPUs'
-  // prefix of the input is materialized.
-  EXPECT_EQ(t.pairs, kVirtualPairs);
-  EXPECT_EQ(t.cpu_pairs + t.pim_pairs, kVirtualPairs);
-  EXPECT_EQ(t.materialized, result.results.size());
-  EXPECT_LT(result.results.size(), batch.size());
-
-  // The materialized prefix (the simulated DPUs' share of the PIM side)
-  // must be bit-identical to the pure PIM backend on the same prefix.
+  const usize pim_materialized = std::min(batch.size(), plan.pim_pairs);
   pim::PimOptions pim_options = pim::PimOptions::from(options);
-  pim_options.virtual_total_pairs = plan.pim_pairs;
   pim_options.simulate_dpus = kSimulatedDpus;
-  pim::PimBatchAligner pim_alone(pim_options);
-  const BatchResult reference =
-      pim_alone.run(seq::ReadPairSpan(batch).subspan(
-                        0, std::min(batch.size(), plan.pim_pairs)),
-                    AlignmentScope::kFull);
+  pim_options.virtual_total_pairs =
+      plan.pim_pairs > pim_materialized ? plan.pim_pairs : 0;
+  pim::PimBatchAligner pim_share(pim_options);
+  const BatchResult result = pim_share.run(
+      seq::ReadPairSpan(batch).first(pim_materialized), AlignmentScope::kFull);
+  const double cpu_seconds = plan.cpu_alone_seconds *
+                             static_cast<double>(plan.cpu_pairs) /
+                             static_cast<double>(plan.pairs);
+  const double hybrid_seconds =
+      std::max(cpu_seconds, result.timings.modeled_seconds);
+  const double best_alone =
+      std::min(plan.cpu_alone_seconds, plan.pim_alone_seconds);
+  EXPECT_GT(hybrid_seconds, 0.0);
+  EXPECT_LT(hybrid_seconds, best_alone)
+      << "hybrid " << hybrid_seconds << "s vs cpu " << plan.cpu_alone_seconds
+      << "s / pim " << plan.pim_alone_seconds << "s";
+
+  // Only the simulated DPUs' share of the PIM side materializes: a strict
+  // prefix of the input, bit-identical to a fully simulated pim backend
+  // on the same pairs.
   ASSERT_GT(result.results.size(), 0u);
-  ASSERT_LE(result.results.size(), reference.results.size());
+  ASSERT_LT(result.results.size(), batch.size());
+  const auto fully_simulated =
+      align::backend_registry().create("pim", tiny_options());
+  const BatchResult reference = fully_simulated->run(
+      seq::ReadPairSpan(batch).first(result.results.size()),
+      AlignmentScope::kFull);
+  ASSERT_EQ(reference.results.size(), result.results.size());
   for (usize i = 0; i < result.results.size(); ++i) {
     EXPECT_EQ(result.results[i], reference.results[i]) << "pair " << i;
   }
@@ -348,7 +366,6 @@ class BarrierBackend final : public align::BatchAligner {
       out.results[i].score = static_cast<i64>(batch.pattern(i).size());
     }
     out.timings.pairs = batch.size();
-    out.timings.materialized = batch.size();
     return out;
   }
   std::string name() const override { return "barrier"; }
@@ -437,35 +454,28 @@ TEST(BatchEngine, RunShardedMergesInInputOrder) {
     EXPECT_EQ(sharded.results[i], expected.results[i]) << "pair " << i;
   }
   EXPECT_EQ(sharded.timings.pairs, batch.size());
-  EXPECT_EQ(sharded.timings.materialized, batch.size());
   EXPECT_GT(sharded.timings.modeled_seconds, 0.0);
 }
 
-TEST(BatchEngine, RunShardedTruncatesAtFirstPartiallyMaterializedShard) {
+TEST(BatchEngine, RunShardedFailsAPartiallyMaterializedShard) {
   // A partially simulated PIM backend materializes only a prefix of each
-  // shard; the merge must stop at the first gap instead of concatenating
-  // misaligned results.
+  // shard; the call must fail instead of returning results that stop
+  // short of (or misalign with) the input.
   const seq::ReadPairSet batch = small_batch(80, 0xDD);
   pim::PimOptions options = pim::PimOptions::from(tiny_options());
   options.simulate_dpus = 2;  // of 4 DPUs: half of each shard
   align::BatchEngine engine(std::make_unique<pim::PimBatchAligner>(options));
 
-  const BatchResult sharded =
-      engine.run_sharded(batch, AlignmentScope::kFull, /*shards=*/4);
-  ASSERT_GT(sharded.results.size(), 0u);
-  ASSERT_LT(sharded.results.size(), batch.size());
-  EXPECT_EQ(sharded.timings.materialized, sharded.results.size());
-
-  // Whatever prefix is reported must be aligned with the input indices.
-  pim::PimOptions reference_options;
-  reference_options.system = upmem::SystemConfig::tiny(4);
-  reference_options.nr_tasklets = 8;
-  pim::PimBatchAligner reference(reference_options);
-  const pim::PimBatchResult expected =
-      reference.align_batch(batch, AlignmentScope::kFull);
-  for (usize i = 0; i < sharded.results.size(); ++i) {
-    EXPECT_EQ(sharded.results[i], expected.results[i]) << "pair " << i;
+  try {
+    (void)engine.run_sharded(batch, AlignmentScope::kFull, /*shards=*/4);
+    FAIL() << "expected Error for a partially materialized shard";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("fully materialized"),
+              std::string::npos)
+        << error.what();
   }
+  engine.wait_idle();
+  EXPECT_EQ(engine.in_flight(), 0u);
 }
 
 TEST(BatchEngine, RunShardedDrainsEveryShardBeforeRethrowing) {
@@ -486,7 +496,6 @@ TEST(BatchEngine, RunShardedDrainsEveryShardBeforeRethrowing) {
       out.backend = name();
       out.results.resize(batch.size());
       out.timings.pairs = batch.size();
-      out.timings.materialized = batch.size();
       ++healthy_completed_;
       return out;
     }

@@ -58,7 +58,6 @@ class ScanBackend final : public align::BatchAligner {
       }
     }
     out.timings.pairs = batch.size();
-    out.timings.materialized = batch.size();
     return out;
   }
   std::string name() const override { return "scan"; }
@@ -82,7 +81,6 @@ class GateBackend final : public align::BatchAligner {
       out.results[i].score = static_cast<i64>(batch.pattern(i).size());
     }
     out.timings.pairs = batch.size();
-    out.timings.materialized = batch.size();
     return out;
   }
   std::string name() const override { return "gate"; }

@@ -127,17 +127,25 @@ TEST(PipelinePlan, OverheadBoundScalesWithTransferTime) {
 
 // --- makespan model ------------------------------------------------------
 
+// One DPU, no launch overhead: the kernel stage is a serial resource.
 ChunkTiming make_chunk(double scatter, double kernel, double gather) {
   ChunkTiming chunk;
   chunk.scatter_seconds = scatter;
   chunk.kernel_seconds = kernel;
   chunk.gather_seconds = gather;
+  chunk.dpu_kernel_seconds = {kernel};
   return chunk;
 }
 
 TEST(PipelineModel, EmptyChunksYieldZero) {
   const PipelineModel model = PipelineModel::from_chunks({});
   EXPECT_EQ(model.total_seconds, 0.0);
+}
+
+TEST(PipelineModel, RejectsAChunkWithoutPerDpuDetail) {
+  std::vector<ChunkTiming> chunks(2, make_chunk(1.0, 2.0, 3.0));
+  chunks[1].dpu_kernel_seconds.clear();
+  EXPECT_THROW(PipelineModel::from_chunks(chunks), InvalidArgument);
 }
 
 TEST(PipelineModel, SingleChunkIsAdditive) {
@@ -188,9 +196,9 @@ TEST(PipelineModel, NeverExceedsAdditiveAndNeverBeatsSlowestStage) {
 
 TEST(PipelineModel, PerDpuDetailRemovesTheChunkBarrier) {
   // Two DPUs with anti-correlated chunk costs. A global chunk barrier
-  // would serialize on each chunk's slowest DPU (2 + 2 = 4); async
-  // launches let each DPU progress independently, so the kernel critical
-  // path is the slowest DPU's sum (2 + 1 = 3).
+  // (one DPU per chunk carrying its slowest cost) would serialize
+  // 2 + 2 = 4; async launches let each DPU progress independently, so the
+  // kernel critical path is the slowest DPU's sum (2 + 1 = 3).
   ChunkTiming first = make_chunk(0.0, 2.0, 0.0);
   first.dpu_kernel_seconds = {2.0, 1.0};
   ChunkTiming second = make_chunk(0.0, 2.0, 0.0);

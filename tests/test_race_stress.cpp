@@ -149,7 +149,6 @@ class SlowScoreBackend final : public align::BatchAligner {
       out.results[i].score = static_cast<i64>(batch.pattern(i).size());
     }
     out.timings.pairs = batch.size();
-    out.timings.materialized = batch.size();
     return out;
   }
   std::string name() const override { return "slow-score"; }

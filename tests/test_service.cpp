@@ -9,6 +9,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -136,7 +137,6 @@ class ScoreBackend final : public align::BatchAligner {
       out.results[i].score = static_cast<i64>(batch.pattern(i).size());
     }
     out.timings.pairs = batch.size();
-    out.timings.materialized = batch.size();
     return out;
   }
   std::string name() const override { return "score"; }
@@ -216,13 +216,24 @@ TEST(AlignService, StreamedResultsMatchDirectBackendRun) {
   EXPECT_GE(stats.latency_p99_ms, stats.latency_p50_ms);
 }
 
-TEST(AlignService, BackpressureEngagesAtWatermarkAndReleases) {
+// One admission watermark set so that two 4-pair requests (64 bases each)
+// fill the queue, the other set out of reach.
+struct Watermark {
+  const char* name;
+  usize max_queued_pairs;
+  u64 max_queued_bases;
+};
+
+class AlignServiceWatermark : public ::testing::TestWithParam<Watermark> {};
+
+TEST_P(AlignServiceWatermark, BackpressureEngagesAtWatermarkAndReleases) {
   auto backend = std::make_unique<GateBackend>();
   GateBackend& gate = *backend;
   ServiceOptions options;
   options.max_batch_pairs = 4;
   options.max_batch_delay = std::chrono::milliseconds(0);
-  options.max_queued_pairs = 8;  // two 4-pair requests fill the queue
+  options.max_queued_pairs = GetParam().max_queued_pairs;
+  options.max_queued_bases = GetParam().max_queued_bases;
   options.engine.max_in_flight = 1;
   options.engine.workers = 0;
   AlignService service(std::move(backend), options);
@@ -253,10 +264,25 @@ TEST(AlignService, BackpressureEngagesAtWatermarkAndReleases) {
   EXPECT_EQ(first.get().size(), 4u);
   EXPECT_EQ(second.get().size(), 4u);
   EXPECT_EQ(third.get().size(), 4u);
+
+  // An empty service admits a request larger than the whole watermark,
+  // so oversize requests make progress instead of wedging.
+  std::optional<RequestHandle> oversize = service.try_submit(n_pairs(12));
+  ASSERT_TRUE(oversize.has_value());
+  service.flush();
+  EXPECT_EQ(oversize->get().size(), 12u);
+
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.rejected, 1u);
   EXPECT_LE(stats.peak_queued_pairs, 12u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Watermarks, AlignServiceWatermark,
+    ::testing::Values(Watermark{"pairs", 8, ServiceOptions{}.max_queued_bases},
+                      Watermark{"bases", usize{1} << 20, 128}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(AlignService, ExpiredDeadlineDoesNotPoisonCoBatchedRequests) {
   AlignService service(std::make_unique<ScoreBackend>(),
@@ -393,7 +419,6 @@ TEST(AlignService, UnderMaterializedBatchFailsTheSharesPastThePrefix) {
         out.results[i].score = static_cast<i64>(batch.pattern(i).size());
       }
       out.timings.pairs = batch.size();
-      out.timings.materialized = out.results.size();
       return out;
     }
     std::string name() const override { return "prefix"; }
