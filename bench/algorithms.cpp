@@ -10,7 +10,6 @@
 #include "baselines/nw.hpp"
 #include "seq/generator.hpp"
 #include "wfa/wfa_aligner.hpp"
-#include "wfa/wfa_edit.hpp"
 
 namespace {
 
@@ -64,23 +63,6 @@ void BM_WfaScoreOnly(benchmark::State& state) {
   report(state, length);
 }
 BENCHMARK(BM_WfaScoreOnly)->Args({100, 2})->Args({100, 4})->Args({1000, 2});
-
-void BM_WfaAdaptive(benchmark::State& state) {
-  const usize length = static_cast<usize>(state.range(0));
-  const double error_rate = static_cast<double>(state.range(1)) / 100.0;
-  const seq::ReadPairSet batch = make_batch(length, error_rate);
-  wfa::WfaAligner::Options options;
-  options.heuristic.enabled = true;
-  wfa::WfaAligner aligner(options);
-  for (auto _ : state) {
-    for (const auto& pair : batch.pairs()) {
-      benchmark::DoNotOptimize(
-          aligner.align(pair.pattern, pair.text, align::AlignmentScope::kFull));
-    }
-  }
-  report(state, length);
-}
-BENCHMARK(BM_WfaAdaptive)->Args({100, 4})->Args({1000, 2});
 
 void BM_GotohFull(benchmark::State& state) {
   const usize length = static_cast<usize>(state.range(0));
@@ -155,7 +137,8 @@ BENCHMARK(BM_UkkonenEditDistance)->Arg(100)->Arg(1000);
 void BM_EditWfa(benchmark::State& state) {
   const usize length = static_cast<usize>(state.range(0));
   const seq::ReadPairSet batch = make_batch(length, 0.04);
-  wfa::EditWfaAligner aligner;
+  // Unit penalties (x=1, o=0, e=1): WFA computing the edit distance.
+  wfa::WfaAligner aligner(align::Penalties::edit());
   for (auto _ : state) {
     for (const auto& pair : batch.pairs()) {
       benchmark::DoNotOptimize(aligner.align(pair.pattern, pair.text,

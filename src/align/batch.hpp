@@ -1,4 +1,4 @@
-// Unified batch-aligner interface: the batch-level sibling of PairAligner.
+// Unified batch-aligner interface for every execution backend.
 //
 // The paper's central comparison pits a CPU WFA baseline against the PIM
 // system; this header gives both (and anything in between, e.g. the hybrid
@@ -30,7 +30,8 @@ namespace pimwfa::align {
 // stays below the wfa layer). kHigh retains everything (O(s^2) memory),
 // kLow rings score-only wavefronts, kUltralow is the bidirectional BiWFA
 // pass: O(s) peak memory at ~2x compute with bit-identical scores and
-// CIGARs - the mode that unlocks 10kb-1Mb long reads.
+// verified co-optimal CIGARs (gap-affine cost equal to the score, not
+// necessarily kHigh's CIGAR) - the mode that unlocks 10kb-1Mb long reads.
 enum class MemoryMode { kHigh, kLow, kUltralow };
 
 // Parse/print helpers for the --memory flag ("high" / "low" / "ultralow").
@@ -58,9 +59,6 @@ struct BatchOptions {
   // what the "cpu-simd" registry entry sets, and the hybrid backend's
   // CPU share inherits it.
   bool cpu_simd = false;
-  // Fast-path gate: maximum edits a SIMD fast path may absorb before the
-  // pair falls back to the full WFA (0 = auto, see simd::FastPathConfig).
-  usize cpu_simd_edit_threshold = 0;
 
   // --- PIM backend -------------------------------------------------------
   // 0 = the paper's 2560-DPU system; otherwise a tiny(n) single-rank

@@ -40,9 +40,6 @@ BatchFlags parse_batch_flags(Cli& cli, const BatchFlags& defaults) {
   o.cpu_simd = cli.get_bool(
       "cpu-simd", d.cpu_simd,
       "route CPU-side alignment through the SIMD layer (cpu-simd)");
-  o.cpu_simd_edit_threshold = static_cast<usize>(cli.get_int(
-      "simd-threshold", static_cast<i64>(d.cpu_simd_edit_threshold),
-      "SIMD fast-path edit threshold (0 = auto)"));
   const std::string memory = cli.get_string(
       "memory", memory_mode_name(d.memory_mode),
       "wavefront memory mode: high (retain all), low (score-only ring), "

@@ -34,7 +34,7 @@ struct BatchFlags {
 // parses them, with `defaults` filling every absent flag. Flags:
 //   --backend --threads --mismatch --gap-open --gap-extend
 //   --dpus --tasklets --packed --pipeline --chunks
-//   --cpu-fraction --cpu-simd --simd-threshold --memory
+//   --cpu-fraction --cpu-simd --memory
 //   --pairs --read-length --error-rate --seed --score-only
 // Backends built from the result simulate every DPU and return every
 // pair's result (a partial batch needs PimOptions::simulate_dpus, which

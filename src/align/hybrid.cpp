@@ -55,8 +55,7 @@ HybridBatchAligner::Calibration HybridBatchAligner::calibrate(
       if (options_.cpu_simd) {
         const cpu::simd::SpeedupModel model = cpu::simd::model_sample(
             batch.first(sample_pairs), options_.penalties, scope,
-            cpu::simd::FastPathConfig{options_.cpu_simd_edit_threshold},
-            cpu::simd::active_level());
+            cpu::simd::FastPathConfig{}, cpu::simd::active_level());
         speedup = model.speedup;
         traffic_per_pair = model.traffic_bytes_per_pair;
       }

@@ -12,18 +12,19 @@
 #include <string_view>
 #include <vector>
 
-#include "align/aligner.hpp"
+#include "align/penalties.hpp"
+#include "align/result.hpp"
 
 namespace pimwfa::baselines {
 
-class GotohAligner final : public align::PairAligner {
+class GotohAligner {
  public:
   explicit GotohAligner(align::Penalties penalties);
 
+  // Global alignment of `pattern` vs `text`: the gap-affine penalty, plus
+  // the CIGAR if `scope` is kFull. Scratch buffers are reused across calls.
   align::AlignmentResult align(std::string_view pattern, std::string_view text,
-                               align::AlignmentScope scope) override;
-
-  std::string name() const override { return "gotoh"; }
+                               align::AlignmentScope scope);
 
   const align::Penalties& penalties() const noexcept { return penalties_; }
 

@@ -19,7 +19,6 @@ CpuBatchOptions CpuBatchOptions::from(const align::BatchOptions& batch) {
           ? batch.cpu_threads
           : std::max<usize>(std::thread::hardware_concurrency(), 1);
   options.simd = batch.cpu_simd;
-  options.simd_edit_threshold = batch.cpu_simd_edit_threshold;
   options.memory_mode = batch.memory_mode;
   return options;
 }
@@ -70,9 +69,8 @@ CpuBatchResult CpuBatchAligner::align_batch(seq::ReadPairSpan batch,
       wfa::WfaCounters work;
       u64 high_water = 0;
       simd::align_range(batch, begin, end, options_.penalties, scope,
-                        simd_level_,
-                        simd::FastPathConfig{options_.simd_edit_threshold},
-                        out.results, stats, work, high_water,
+                        simd_level_, simd::FastPathConfig{}, out.results,
+                        stats, work, high_water,
                         to_wfa_mode(options_.memory_mode));
       MutexLock lock(merge_mutex);
       out.work.merge(work);
@@ -154,8 +152,7 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
     if (per_pair_seconds_override_ > 0) {
       const simd::SpeedupModel model = simd::model_sample(
           batch.first(std::min<usize>(pairs, 128)), options_.penalties,
-          scope, simd::FastPathConfig{options_.simd_edit_threshold},
-          simd_level_);
+          scope, simd::FastPathConfig{}, simd_level_);
       t1_simd = t1_model / model.speedup;
     }
     t.modeled_seconds = project_batch_seconds_traffic(

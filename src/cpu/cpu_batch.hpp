@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "align/aligner.hpp"
 #include "align/batch.hpp"
 #include "common/thread_pool.hpp"
 #include "cpu/simd/simd.hpp"
@@ -28,7 +27,6 @@ struct CpuBatchOptions {
   // fast paths; bit-identical results). The dispatch level is resolved
   // once at construction via simd::active_level().
   bool simd = false;
-  usize simd_edit_threshold = 0;  // 0 = auto (simd::FastPathConfig)
 
   // Translate the unified batch options (see align/batch.hpp).
   static CpuBatchOptions from(const align::BatchOptions& batch);

@@ -16,7 +16,7 @@
 // this machine; only the machine envelope (core count, SMT yield,
 // effective bandwidth) is taken from the target system. The effective
 // bandwidth default is calibrated to reproduce the scaling plateau of the
-// paper's Fig. 1 (see DESIGN.md section 5 and EXPERIMENTS.md).
+// paper's Fig. 1.
 #pragma once
 
 #include <string>

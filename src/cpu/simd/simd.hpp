@@ -36,7 +36,6 @@
 #include <string_view>
 #include <vector>
 
-#include "align/aligner.hpp"
 #include "align/penalties.hpp"
 #include "common/types.hpp"
 #include "seq/view.hpp"

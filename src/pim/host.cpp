@@ -47,6 +47,24 @@ void write_record(upmem::PimSystem& system, usize d, const BatchLayout& layout,
   system.copy_to_mram(d, layout.pair_addr(slot), buffer);
 }
 
+// The 2-bit packer holds exactly A, C, G and T. A packed run screens the
+// whole batch before anything is staged, so lower case or N fails up
+// front with the pair named instead of mid-scatter.
+void check_packable(seq::ReadPairSpan batch) {
+  for (usize i = 0; i < batch.size(); ++i) {
+    for (const bool is_pattern : {true, false}) {
+      const std::string_view s = is_pattern ? batch.pattern(i) : batch.text(i);
+      const auto bad =
+          std::find_if_not(s.begin(), s.end(), seq::is_packable_base);
+      PIMWFA_ARG_CHECK(bad == s.end(),
+                       "packed PIM batch: pair "
+                           << i << (is_pattern ? " pattern" : " text")
+                           << " has '" << *bad << "' at position "
+                           << bad - s.begin() << "; only A, C, G and T pack");
+    }
+  }
+}
+
 align::AlignmentResult read_result_record(const upmem::PimSystem& system,
                                           usize d, const BatchLayout& layout,
                                           usize slot, bool full,
@@ -525,6 +543,7 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
   // pipelined mode - hold this span for the whole call, and per-element
   // accesses re-validate while they run.
   batch.check_valid();
+  if (options_.packed_sequences) check_packable(batch);
   const usize logical = options_.system.nr_dpus();
   const usize simulated = options_.simulate_dpus == 0
                               ? logical

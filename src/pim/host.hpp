@@ -28,7 +28,6 @@
 #include <optional>
 #include <vector>
 
-#include "align/aligner.hpp"
 #include "align/batch.hpp"
 #include "common/thread_pool.hpp"
 #include "common/thread_safety.hpp"
@@ -47,7 +46,9 @@ struct PimOptions {
   align::Penalties penalties = align::Penalties::defaults();
   // Transfer sequences 2-bit packed (beyond-paper optimization: quarters
   // the scatter bytes that dominate Fig. 1's Total; the DPU unpacks after
-  // the DMA). Results remain bit-identical.
+  // the DMA). Results remain bit-identical. Only upper-case A, C, G and T
+  // pack: align_batch throws InvalidArgument, naming the pair, for a batch
+  // holding any other byte, before anything reaches MRAM.
   bool packed_sequences = false;
   // Per-batch score cap (descriptor-table size); 0 = worst case over the
   // batch's longest pair. Lower it for long reads where the worst case

@@ -19,9 +19,10 @@ void PackedSequence::pack_into(std::string_view sequence, u8* out) {
   if (sequence.empty()) return;  // out may be null for the empty packing
   std::memset(out, 0, packed_bytes(sequence.size()));
   for (usize i = 0; i < sequence.size(); ++i) {
+    PIMWFA_ARG_CHECK(is_packable_base(sequence[i]),
+                     "cannot pack base '" << sequence[i] << "' at index " << i
+                                          << " (only A, C, G and T pack)");
     const u8 code = encode_base(sequence[i]);
-    PIMWFA_ARG_CHECK(code != kInvalidCode,
-                     "invalid base '" << sequence[i] << "' at index " << i);
     out[i >> 2] |= static_cast<u8>(code << ((i & 3u) * 2));
   }
 }

@@ -12,11 +12,19 @@
 
 namespace pimwfa::seq {
 
+// True iff `base` is one of the four characters the 2-bit code holds:
+// upper-case A, C, G or T. Lower case and N do not pack (encode_base folds
+// case, so packing through it would silently turn 'a' into 'A').
+constexpr bool is_packable_base(char base) noexcept {
+  return base == 'A' || base == 'C' || base == 'G' || base == 'T';
+}
+
 class PackedSequence {
  public:
   PackedSequence() = default;
 
-  // Packs a valid ACGT string; throws InvalidArgument on other characters.
+  // Packs an upper-case ACGT string; throws InvalidArgument on any other
+  // character (see is_packable_base).
   explicit PackedSequence(std::string_view sequence);
 
   usize size() const noexcept { return size_; }

@@ -41,7 +41,7 @@ class PimSystem {
   // Simulating a subset is how full-scale (2560-DPU) experiments stay
   // tractable: with a uniformly distributed workload, per-DPU behaviour is
   // homogeneous and the slowest simulated DPU stands in for the slowest
-  // overall (see EXPERIMENTS.md).
+  // overall.
   explicit PimSystem(SystemConfig config, usize simulated_dpus = 0);
 
   const SystemConfig& config() const noexcept { return config_; }

@@ -1,12 +1,11 @@
-// Allocator seam of the WFA library.
+// Wavefront arena of the host WFA.
 //
 // The original WFA C library allocates all wavefront metadata from an arena
-// ("mm_allocator"). The PIM paper's key implementation contribution is
-// replacing that allocator with one that manages the WRAM/MRAM hierarchy of
-// a UPMEM DPU. We reproduce that seam: the WFA core allocates exclusively
-// through this interface, the CPU build plugs in SlabAllocator (an
-// mm_allocator equivalent), and src/pim plugs in the hierarchical
-// WRAM/MRAM allocator.
+// ("mm_allocator"). SlabAllocator is its equivalent here: WfaAligner owns
+// one and takes every retained wavefront from it. The PIM paper's
+// contribution is the DPU-side counterpart, which manages wavefront
+// metadata over the WRAM/MRAM hierarchy inside the DPU kernel; that is
+// pim::MetaSpace (pim/meta_space.hpp), not this class.
 //
 // Contract: bump allocation only; there is no per-object free. reset()
 // recycles everything between alignments. All returns are 8-byte aligned
@@ -22,41 +21,30 @@ namespace pimwfa::wfa {
 
 inline constexpr usize kAllocAlign = 8;
 
-class WavefrontAllocator {
+// A chain of malloc'd slabs with bump-pointer allocation. Slabs are
+// retained across reset() so steady-state alignment does no heap
+// allocation.
+class SlabAllocator {
  public:
-  virtual ~WavefrontAllocator() = default;
+  explicit SlabAllocator(usize slab_bytes = 256 * 1024);
 
   // 8-byte-aligned storage for `bytes` bytes; valid until reset().
-  // Throws (Error or HardwareFault) when the backing store is exhausted.
-  virtual void* allocate(usize bytes) = 0;
-
-  // Recycle all allocations (O(1); memory is retained for reuse).
-  virtual void reset() = 0;
-
-  // Bytes handed out since the last reset().
-  virtual usize bytes_in_use() const = 0;
-
-  // Maximum bytes_in_use() ever observed (across resets).
-  virtual usize high_water() const = 0;
+  void* allocate(usize bytes);
 
   // Typed helper.
   template <typename T>
   T* allocate_array(usize count) {
     return static_cast<T*>(allocate(count * sizeof(T)));
   }
-};
 
-// CPU arena allocator: a chain of malloc'd slabs with bump-pointer
-// allocation, equivalent to WFA's mm_allocator. Slabs are retained across
-// reset() so steady-state alignment does no heap allocation.
-class SlabAllocator final : public WavefrontAllocator {
- public:
-  explicit SlabAllocator(usize slab_bytes = 256 * 1024);
+  // Recycle all allocations (O(1); memory is retained for reuse).
+  void reset();
 
-  void* allocate(usize bytes) override;
-  void reset() override;
-  usize bytes_in_use() const override { return in_use_; }
-  usize high_water() const override { return high_water_; }
+  // Bytes handed out since the last reset().
+  usize bytes_in_use() const noexcept { return in_use_; }
+
+  // Maximum bytes_in_use() ever observed (across resets).
+  usize high_water() const noexcept { return high_water_; }
 
   usize slab_count() const noexcept { return slabs_.size(); }
 

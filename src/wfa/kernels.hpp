@@ -13,9 +13,7 @@
 // kWavefrontPad sentinel slots (kOffsetNone) on each side of [lo, hi], so
 // a vectorized compute_row may read one slot past either end of a source
 // row - exactly what the k-1 / k+1 shifted accesses of the recurrence
-// need - without bounds branches or masked loads. shrink_wavefront
-// (adaptive reduction) restores the sentinel value on every cell it
-// drops, keeping the contract intact after in-place narrowing.
+// need - without bounds branches or masked loads.
 #pragma once
 
 #include "common/types.hpp"

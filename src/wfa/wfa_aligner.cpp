@@ -55,7 +55,7 @@ u64 retained_bytes_estimate(i64 score, usize plen, usize tlen) {
 
 }  // namespace
 
-WfaAligner::WfaAligner(Options options, WavefrontAllocator* allocator)
+WfaAligner::WfaAligner(Options options)
     : options_(options),
       kernels_(options.kernels != nullptr ? *options.kernels
                                           : scalar_kernels()) {
@@ -64,17 +64,6 @@ WfaAligner::WfaAligner(Options options, WavefrontAllocator* allocator)
   PIMWFA_ARG_CHECK(
       kernels_.match_run != nullptr && kernels_.compute_row != nullptr,
       "WfaKernels must provide both match_run and compute_row");
-  PIMWFA_ARG_CHECK(
-      !(options_.memory_mode == MemoryMode::kUltralow &&
-        options_.heuristic.enabled),
-      "MemoryMode::kUltralow is exact and incompatible with the adaptive "
-      "heuristic");
-  if (allocator != nullptr) {
-    allocator_ = allocator;
-  } else {
-    owned_allocator_ = std::make_unique<SlabAllocator>();
-    allocator_ = owned_allocator_.get();
-  }
 }
 
 void WfaAligner::note_live_bytes() {
@@ -96,7 +85,7 @@ Wavefront WfaAligner::new_wavefront(i32 lo, i32 hi) {
   // (see kernels.hpp). The pad is implementation slack, so only the
   // payload counts toward allocated_bytes.
   Offset* base =
-      allocator_->allocate_array<Offset>(width + 2 * kWavefrontPad);
+      allocator_.allocate_array<Offset>(width + 2 * kWavefrontPad);
   for (usize i = 0; i < kWavefrontPad; ++i) {
     base[i] = kOffsetNone;
     base[kWavefrontPad + width + i] = kOffsetNone;
@@ -182,61 +171,6 @@ void WfaAligner::compute_next(i64 score, usize plen, usize tlen) {
   kernels_.compute_row(args);
   counters_.computed_cells += 3 * static_cast<u64>(hi - lo + 1);
   ++counters_.wavefront_sets;
-}
-
-namespace {
-
-// Narrow a component to the intersection of its range with [lo, hi] by
-// sliding the base pointer (allocation is untouched; the dropped cells are
-// no longer addressable through at()). The dropped cells are overwritten
-// with the kOffsetNone sentinel so the out-of-range overhang slots a
-// vectorized compute_row may read stay semantically "unreachable" (the
-// padding contract of kernels.hpp).
-void shrink_wavefront(Wavefront& w, i32 lo, i32 hi) {
-  if (!w.exists) return;
-  const i32 new_lo = std::max(w.lo, lo);
-  const i32 new_hi = std::min(w.hi, hi);
-  if (new_lo > new_hi) {
-    w = Wavefront{};
-    return;
-  }
-  for (i32 k = w.lo; k < new_lo; ++k) w.set(k, kOffsetNone);
-  for (i32 k = new_hi + 1; k <= w.hi; ++k) w.set(k, kOffsetNone);
-  w.offsets += (new_lo - w.lo);
-  w.lo = new_lo;
-  w.hi = new_hi;
-}
-
-}  // namespace
-
-void WfaAligner::reduce(WavefrontSet& set, i32 plen, i32 tlen) {
-  Wavefront& m = set.m;
-  if (!m.exists) return;
-  const i32 length = m.hi - m.lo + 1;
-  if (length <= options_.heuristic.min_wavefront_length) return;
-
-  // Remaining anti-diagonal distance to the target corner per diagonal;
-  // unreachable cells count as infinite so they fall off the edges.
-  auto distance = [&](i32 k) -> i64 {
-    const Offset off = m.at(k);
-    if (!offset_reachable(off)) return std::numeric_limits<i64>::max();
-    const i32 v = off - k;
-    return static_cast<i64>(plen - v) + static_cast<i64>(tlen - off);
-  };
-  i64 best = std::numeric_limits<i64>::max();
-  for (i32 k = m.lo; k <= m.hi; ++k) best = std::min(best, distance(k));
-  if (best == std::numeric_limits<i64>::max()) return;
-
-  const i64 cutoff = best + options_.heuristic.max_distance_diff;
-  i32 new_lo = m.lo;
-  i32 new_hi = m.hi;
-  while (new_lo < new_hi && distance(new_lo) > cutoff) ++new_lo;
-  while (new_hi > new_lo && distance(new_hi) > cutoff) --new_hi;
-  if (new_lo == m.lo && new_hi == m.hi) return;
-
-  shrink_wavefront(set.m, new_lo, new_hi);
-  shrink_wavefront(set.i, new_lo, new_hi);
-  shrink_wavefront(set.d, new_lo, new_hi);
 }
 
 seq::Cigar WfaAligner::backtrace(i64 final_score, std::string_view pattern,
@@ -688,7 +622,7 @@ align::AlignmentResult WfaAligner::align_retained(std::string_view pattern,
   const usize tlen = text.size();
   const i32 tl = static_cast<i32>(tlen);
   const i32 k_final = tl - static_cast<i32>(plen);
-  allocator_->reset();
+  allocator_.reset();
   sets_.clear();
   retained_bytes_ = 0;
 
@@ -706,10 +640,6 @@ align::AlignmentResult WfaAligner::align_retained(std::string_view pattern,
   extend_and_check(sets_[0].m, pattern, text);
   bool done = hits_end(sets_[0], end, k_final, tl);
   while (!done) {
-    if (options_.heuristic.enabled) {
-      reduce(sets_[static_cast<usize>(score)], static_cast<i32>(plen),
-             static_cast<i32>(tlen));
-    }
     ++score;
     ++counters_.score_steps;
     PIMWFA_CHECK(score <= score_cap,
@@ -804,8 +734,7 @@ align::AlignmentResult WfaAligner::align_span(std::string_view pattern,
   }
 
   if (options_.memory_mode == MemoryMode::kLow &&
-      scope == align::AlignmentScope::kScoreOnly &&
-      !options_.heuristic.enabled) {
+      scope == align::AlignmentScope::kScoreOnly) {
     result.score = score_low_memory(pattern, text, score_cap, begin, end);
     counters_.max_score =
         std::max(counters_.max_score, static_cast<u64>(result.score));

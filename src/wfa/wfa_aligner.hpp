@@ -13,34 +13,25 @@
 // until M[s][tlen - plen] reaches offset tlen. A backtrace over the stored
 // wavefronts reconstructs the CIGAR.
 //
-// All wavefront memory comes from a WavefrontAllocator (see allocator.hpp)
-// - the seam the PIM port replaces with the WRAM/MRAM allocator.
+// Retained wavefronts come from the aligner's own arena, a SlabAllocator
+// (see allocator.hpp). The PIM port's DPU kernel keeps its wavefronts in
+// WRAM/MRAM through pim::MetaSpace (pim/meta_space.hpp) instead.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "align/aligner.hpp"
+#include "align/penalties.hpp"
+#include "align/result.hpp"
 #include "wfa/allocator.hpp"
 #include "wfa/kernels.hpp"
 #include "wfa/wavefront.hpp"
 
 namespace pimwfa::wfa {
 
-class WfaAligner final : public align::PairAligner {
+class WfaAligner {
  public:
-  // Adaptive wavefront reduction (the "WFA-Adapt" heuristic of the WFA
-  // paper): after each extension, diagonals whose remaining distance to
-  // the end exceeds the best diagonal's by more than `max_distance_diff`
-  // are dropped. Trades exactness for speed on divergent pairs.
-  struct Heuristic {
-    bool enabled = false;
-    i32 min_wavefront_length = 10;  // never reduce below this many diagonals
-    i32 max_distance_diff = 50;
-  };
-
   // Wavefront retention policy (WFA2-lib's "memory modes").
   enum class MemoryMode {
     // Keep every wavefront: O(s^2) memory, enables the CIGAR backtrace.
@@ -88,21 +79,21 @@ class WfaAligner final : public align::PairAligner {
     // subproblem's estimated wavefront arena fits this budget. Smaller
     // budgets recurse deeper (lower peak memory, more recompute).
     u64 ultralow_base_wavefront_bytes = 4u << 20;
-    Heuristic heuristic{};
     // Inner-loop kernels (extend match scan + recurrence row). Null uses
     // the portable scalar defaults; the SIMD backend plugs in vectorized
     // implementations, which must stay bit-identical (see kernels.hpp).
     const WfaKernels* kernels = nullptr;
   };
 
-  // If `allocator` is null the aligner owns a SlabAllocator.
-  explicit WfaAligner(Options options,
-                      WavefrontAllocator* allocator = nullptr);
+  explicit WfaAligner(Options options);
   explicit WfaAligner(align::Penalties penalties)
       : WfaAligner(Options{penalties, 0}) {}
 
+  // Align `pattern` vs `text` end-to-end (global alignment) and return the
+  // gap-affine penalty (+ CIGAR if `scope` is kFull). Reusable across
+  // calls: the arena and the rings are recycled.
   align::AlignmentResult align(std::string_view pattern, std::string_view text,
-                               align::AlignmentScope scope) override;
+                               align::AlignmentScope scope);
 
   // Align a partial pair whose path enters in component `begin` and leaves
   // in component `end` (see Component). Honors the configured memory mode;
@@ -121,10 +112,6 @@ class WfaAligner final : public align::PairAligner {
   Breakpoint find_breakpoint(std::string_view pattern, std::string_view text,
                              Component begin, Component end, i64 score_cap);
 
-  std::string name() const override {
-    return options_.heuristic.enabled ? "wfa-adapt" : "wfa";
-  }
-
   const align::Penalties& penalties() const noexcept {
     return options_.penalties;
   }
@@ -133,7 +120,7 @@ class WfaAligner final : public align::PairAligner {
   const WfaCounters& counters() const noexcept { return counters_; }
   void reset_counters() noexcept { counters_.reset(); }
 
-  WavefrontAllocator& allocator() noexcept { return *allocator_; }
+  const SlabAllocator& allocator() const noexcept { return allocator_; }
 
  private:
   // Ring storage for the score-only passes (kLow and each direction of
@@ -184,8 +171,6 @@ class WfaAligner final : public align::PairAligner {
                                         align::AlignmentScope scope,
                                         Component begin, Component end,
                                         i64 score_cap);
-  // Apply adaptive reduction to the freshly extended set (heuristic mode).
-  void reduce(WavefrontSet& set, i32 plen, i32 tlen);
   seq::Cigar backtrace(i64 final_score, std::string_view pattern,
                        std::string_view text, Component begin,
                        Component end);
@@ -193,8 +178,7 @@ class WfaAligner final : public align::PairAligner {
 
   Options options_;
   WfaKernels kernels_;
-  std::unique_ptr<SlabAllocator> owned_allocator_;
-  WavefrontAllocator* allocator_;
+  SlabAllocator allocator_;
   std::vector<WavefrontSet> sets_;  // indexed by score (bookkeeping only)
   ScoreRing ring_;       // kLow ring; also kUltralow's forward direction
   ScoreRing rev_ring_;   // kUltralow's reverse direction

@@ -4,7 +4,6 @@
 #include "baselines/gotoh.hpp"
 #include "baselines/myers.hpp"
 #include "baselines/nw.hpp"
-#include "baselines/sw.hpp"
 #include "test_util.hpp"
 
 namespace pimwfa::baselines {
@@ -232,40 +231,6 @@ TEST(Ukkonen, DivergentPairs) {
   const auto pair = pimwfa::testing::unrelated_pair(rng, 64, 80);
   EXPECT_EQ(ukkonen_edit_distance(pair.pattern, pair.text),
             levenshtein(pair.pattern, pair.text));
-}
-
-TEST(Sw, FindsEmbeddedMatch) {
-  // Perfect 8bp match embedded in noise.
-  const std::string pattern = "ACGTACGT";
-  const std::string text = "TTTTTACGTACGTGGGG";
-  const auto result = sw_align(pattern, text);
-  EXPECT_EQ(result.score, 8 * 2);
-  EXPECT_EQ(result.pattern_begin, 0u);
-  EXPECT_EQ(result.pattern_end, 8u);
-  EXPECT_EQ(result.text_begin, 5u);
-  EXPECT_EQ(result.text_end, 13u);
-  EXPECT_EQ(result.cigar.ops(), "MMMMMMMM");
-}
-
-TEST(Sw, EmptyWhenNoPositiveScore) {
-  const auto result = sw_align("AAAA", "TTTT");
-  EXPECT_EQ(result.score, 0);
-  EXPECT_TRUE(result.cigar.empty());
-}
-
-TEST(Sw, LocalCigarValidOnRegion) {
-  Rng rng(26);
-  for (int trial = 0; trial < 15; ++trial) {
-    const auto pair = pimwfa::testing::random_pair(rng, 60, 3);
-    const auto result = sw_align(pair.pattern, pair.text);
-    if (result.score == 0) continue;
-    const std::string_view pat_region(
-        pair.pattern.data() + result.pattern_begin,
-        result.pattern_end - result.pattern_begin);
-    const std::string_view text_region(pair.text.data() + result.text_begin,
-                                       result.text_end - result.text_begin);
-    EXPECT_NO_THROW(result.cigar.validate(pat_region, text_region));
-  }
 }
 
 }  // namespace

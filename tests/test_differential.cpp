@@ -6,10 +6,10 @@
 // read pairs swept over length x error-rate x penalty configurations and
 // asserts *zero score divergence* between
 //
-//   - WfaAligner in kHigh, kLow and adaptive-heuristic modes,
+//   - WfaAligner in kHigh and kLow modes,
 //   - GotohAligner (the trusted O(n^2) DP reference),
 //   - nw_align/nw_score (linear-gap DP, cross-checked via o=0 penalty sets),
-//   - myers/ukkonen/EditWfaAligner (unit-cost family), and
+//   - myers/ukkonen and unit-penalty WfaAligner (unit-cost family), and
 //   - PimBatchAligner, with and without packed_sequences (which must stay
 //     bit-identical, CIGARs included).
 //
@@ -35,7 +35,6 @@
 #include "test_util.hpp"
 #include "upmem/config.hpp"
 #include "wfa/wfa_aligner.hpp"
-#include "wfa/wfa_edit.hpp"
 
 namespace pimwfa {
 namespace {
@@ -53,19 +52,6 @@ wfa::WfaAligner::Options wfa_options(const Penalties& penalties,
   wfa::WfaAligner::Options options;
   options.penalties = penalties;
   options.memory_mode = mode;
-  return options;
-}
-
-wfa::WfaAligner::Options adapt_options(const Penalties& penalties) {
-  wfa::WfaAligner::Options options;
-  options.penalties = penalties;
-  options.heuristic.enabled = true;
-  // Generous bounds keep the heuristic exact on the bounded-error-rate
-  // workloads of this sweep (the reduction only drops diagonals that are
-  // hopelessly behind); the adaptive-specific inexactness tests live in
-  // test_wfa.cpp.
-  options.heuristic.min_wavefront_length = 32;
-  options.heuristic.max_distance_diff = 128;
   return options;
 }
 
@@ -90,7 +76,6 @@ TEST_P(AffineDifferential, WfaModesMatchGotohOnEveryPair) {
       wfa_options(config.penalties, wfa::WfaAligner::MemoryMode::kHigh));
   wfa::WfaAligner wfa_low(
       wfa_options(config.penalties, wfa::WfaAligner::MemoryMode::kLow));
-  wfa::WfaAligner wfa_adapt(adapt_options(config.penalties));
 
   for (usize i = 0; i < batch.size(); ++i) {
     const seq::ReadPair& pair = batch[i];
@@ -111,11 +96,6 @@ TEST_P(AffineDifferential, WfaModesMatchGotohOnEveryPair) {
                                    AlignmentScope::kScoreOnly);
     ASSERT_EQ(low.score, reference) << "wfa-low vs gotoh, "
                                     << pair_diag(config, i, pair);
-
-    const auto adapt = wfa_adapt.align(pair.pattern, pair.text,
-                                       AlignmentScope::kScoreOnly);
-    ASSERT_EQ(adapt.score, reference) << "wfa-adapt vs gotoh, "
-                                      << pair_diag(config, i, pair);
 
     // Gotoh's own full-scope path must agree with its score-only path.
     const auto gotoh_full = gotoh.align(pair.pattern, pair.text,
@@ -190,9 +170,8 @@ TEST_P(EditDifferential, AllEditDistanceImplementationsAgree) {
   const seq::ReadPairSet batch =
       pimwfa::testing::diff_batch(config, kPairsPerConfig);
 
-  wfa::WfaAligner wfa_edit_affine(
+  wfa::WfaAligner wfa_unit(
       wfa_options(Penalties::edit(), wfa::WfaAligner::MemoryMode::kHigh));
-  wfa::EditWfaAligner edit_wfa;
 
   for (usize i = 0; i < batch.size(); ++i) {
     const seq::ReadPair& pair = batch[i];
@@ -200,17 +179,12 @@ TEST_P(EditDifferential, AllEditDistanceImplementationsAgree) {
     const i64 myers = baselines::myers_edit_distance(pair.pattern, pair.text);
     const i64 ukkonen =
         baselines::ukkonen_edit_distance(pair.pattern, pair.text);
-    const i64 wfa_affine =
-        wfa_edit_affine.align(pair.pattern, pair.text,
-                              AlignmentScope::kScoreOnly).score;
-    const i64 wfa_unit = edit_wfa.align(pair.pattern, pair.text,
-                                        AlignmentScope::kScoreOnly).score;
+    const i64 wfa_score = wfa_unit.align(pair.pattern, pair.text,
+                                         AlignmentScope::kScoreOnly).score;
     ASSERT_EQ(myers, reference) << "myers, " << pair_diag(config, i, pair);
     ASSERT_EQ(ukkonen, reference) << "ukkonen, " << pair_diag(config, i, pair);
-    ASSERT_EQ(wfa_affine, reference)
+    ASSERT_EQ(wfa_score, reference)
         << "wfa(x=1,o=0,e=1), " << pair_diag(config, i, pair);
-    ASSERT_EQ(wfa_unit, reference) << "wfa-edit, "
-                                   << pair_diag(config, i, pair);
   }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "align/registry.hpp"
 #include "align/verify.hpp"
+#include "common/error.hpp"
 #include "pim/host.hpp"
 #include "pim/meta_space.hpp"
 #include "seq/generator.hpp"
@@ -372,6 +376,67 @@ TEST(PimBatch, PackedTransfersMatchAndShrinkTraffic) {
   EXPECT_LT(b.timings.scatter_seconds, a.timings.scatter_seconds);
   // The DPU pays a small unpacking cost.
   EXPECT_GT(b.timings.work.instructions, a.timings.work.instructions);
+}
+
+// The 2-bit packer holds only upper-case A, C, G and T. A packed batch
+// holding any other byte must fail with the pair named, not fold lower
+// case into upper case (every other path treats 'a' vs 'A' as a mismatch).
+std::string packed_rejection(PimBatchAligner& packed,
+                             const seq::ReadPairSet& batch) {
+  try {
+    packed.align_batch(batch, AlignmentScope::kFull);
+  } catch (const InvalidArgument& error) {
+    return error.what();
+  }
+  return "no InvalidArgument";
+}
+
+PimOptions packed_tiny() {
+  PimOptions options = tiny_options(1, 4);
+  options.packed_sequences = true;
+  return options;
+}
+
+TEST(PimBatch, PackedRejectsLowerCaseBases) {
+  seq::ReadPairSet batch;
+  batch.add({"acgtacgt", "ACGTACGT"});
+  // Unpacked, lower case stays a mismatch, as on the host paths.
+  PimBatchAligner plain(tiny_options(1, 4));
+  const PimBatchResult unpacked =
+      plain.align_batch(batch, AlignmentScope::kFull);
+  ASSERT_EQ(unpacked.results.size(), 1u);
+  EXPECT_EQ(unpacked.results[0].score, 32);
+  EXPECT_EQ(unpacked.results[0].cigar.ops(), "XXXXXXXX");
+
+  PimBatchAligner packed(packed_tiny());
+  const std::string message = packed_rejection(packed, batch);
+  EXPECT_NE(message.find("pair 0 pattern has 'a' at position 0"),
+            std::string::npos)
+      << message;
+
+  // A hybrid with an all-PIM split runs the same packed path.
+  align::BatchOptions hybrid;
+  hybrid.pim_dpus = 1;
+  hybrid.pim_tasklets = 4;
+  hybrid.pim_packed = true;
+  hybrid.hybrid_cpu_fraction = 0;
+  const auto backend = align::backend_registry().create("hybrid", hybrid);
+  EXPECT_THROW(backend->run(batch, AlignmentScope::kFull), InvalidArgument);
+}
+
+TEST(PimBatch, PackedRejectsNNamingThePair) {
+  seq::ReadPairSet batch;
+  batch.add({"ACGTACGT", "ACGTACGT"});
+  batch.add({"ACGTACGT", "ACGTNCGT"});
+  PimBatchAligner packed(packed_tiny());
+  const std::string message = packed_rejection(packed, batch);
+  EXPECT_NE(message.find("pair 1 text has 'N' at position 4"),
+            std::string::npos)
+      << message;
+  // The batch is screened before staging, so the aligner stays usable.
+  const seq::ReadPairSet valid = seq::fig1_dataset(8, 0.04, 23);
+  expect_matches_host(valid, packed.align_batch(valid, AlignmentScope::kFull),
+                      Penalties::defaults(), true);
 }
 
 TEST(DpuPairRange, EmptyBatchGivesEveryDpuAnEmptyRange) {

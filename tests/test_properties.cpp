@@ -10,7 +10,6 @@
 #include "seq/generator.hpp"
 #include "test_util.hpp"
 #include "wfa/wfa_aligner.hpp"
-#include "wfa/wfa_edit.hpp"
 
 namespace pimwfa {
 namespace {
@@ -133,7 +132,7 @@ TEST_P(AlignerProperties, EditDistanceLowerBoundsWeightedScore) {
 
 TEST_P(AlignerProperties, AllEditDistanceImplementationsAgree) {
   Rng rng(108);
-  wfa::EditWfaAligner edit_wfa;
+  wfa::WfaAligner unit_wfa(Penalties::edit());
   for (int trial = 0; trial < 6; ++trial) {
     const auto pair = next_pair(rng);
     const i64 reference = baselines::levenshtein(pair.pattern, pair.text);
@@ -142,7 +141,7 @@ TEST_P(AlignerProperties, AllEditDistanceImplementationsAgree) {
     EXPECT_EQ(baselines::ukkonen_edit_distance(pair.pattern, pair.text),
               reference);
     EXPECT_EQ(
-        edit_wfa.align(pair.pattern, pair.text, AlignmentScope::kScoreOnly)
+        unit_wfa.align(pair.pattern, pair.text, AlignmentScope::kScoreOnly)
             .score,
         reference);
   }

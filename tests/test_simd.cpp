@@ -342,15 +342,6 @@ TEST(SimdWfaKernels, VectorKernelsAreBitIdenticalInsideWfa) {
     options.penalties = Penalties::defaults();
     options.kernels = &cpu::simd::wfa_kernels(level);
     wfa::WfaAligner vectored{options};
-    // Adaptive mode stresses shrink_wavefront's sentinel restoration,
-    // which the padded vector loads depend on.
-    wfa::WfaAligner::Options adapt = options;
-    adapt.heuristic.enabled = true;
-    wfa::WfaAligner::Options adapt_scalar;
-    adapt_scalar.penalties = Penalties::defaults();
-    adapt_scalar.heuristic.enabled = true;
-    wfa::WfaAligner adaptive{adapt};
-    wfa::WfaAligner adaptive_reference{adapt_scalar};
     for (usize i = 0; i < batch.size(); ++i) {
       const auto want = scalar.align(batch[i].pattern, batch[i].text,
                                      AlignmentScope::kFull);
@@ -360,12 +351,6 @@ TEST(SimdWfaKernels, VectorKernelsAreBitIdenticalInsideWfa) {
           << cpu::simd::level_name(level) << " pair " << i;
       ASSERT_EQ(got.cigar.ops(), want.cigar.ops())
           << cpu::simd::level_name(level) << " pair " << i;
-      const auto adapt_want = adaptive_reference.align(
-          batch[i].pattern, batch[i].text, AlignmentScope::kScoreOnly);
-      const auto adapt_got = adaptive.align(batch[i].pattern, batch[i].text,
-                                            AlignmentScope::kScoreOnly);
-      ASSERT_EQ(adapt_got.score, adapt_want.score)
-          << "adaptive, " << cpu::simd::level_name(level) << " pair " << i;
     }
   }
 }

@@ -197,12 +197,6 @@ TEST(Ultralow, MaxScoreCapRecoverable) {
   EXPECT_EQ(ok.cigar.ops(), "MXMM");
 }
 
-TEST(Ultralow, RejectsHeuristicCombination) {
-  auto options = ultralow_options();
-  options.heuristic.enabled = true;
-  EXPECT_THROW(WfaAligner{options}, InvalidArgument);
-}
-
 TEST(Ultralow, PeakMemoryFarBelowHigh) {
   // The figure of merit: peak live wavefront bytes. At length 4000 with
   // ~5% errors the kHigh arena is tens of MB; kUltralow stays O(s).

@@ -2,10 +2,10 @@
 
 #include "align/verify.hpp"
 #include "baselines/gotoh.hpp"
-#include "baselines/nw.hpp"
+#include "cpu/simd/simd.hpp"
+#include "seq/generator.hpp"
 #include "test_util.hpp"
 #include "wfa/wfa_aligner.hpp"
-#include "wfa/wfa_edit.hpp"
 
 namespace pimwfa::wfa {
 namespace {
@@ -210,14 +210,64 @@ TEST(Wfa, CountersScaleWithErrorRate) {
   EXPECT_GT(cells_high, cells_low);
 }
 
-TEST(Wfa, ExternalAllocatorIsUsed) {
-  SlabAllocator allocator;
-  WfaAligner aligner(WfaAligner::Options{Penalties::defaults(), 0},
-                     &allocator);
-  Rng rng(36);
-  const auto pair = pimwfa::testing::random_pair(rng, 50, 3);
-  aligner.align(pair.pattern, pair.text, AlignmentScope::kFull);
-  EXPECT_GT(allocator.high_water(), 0u);
+// Pins every work counter and the arena's high-water mark on a seeded
+// batch. allocated_bytes feeds the CPU model's traffic, and the cell,
+// match and probe counts feed the SIMD cost model, so a change that moves
+// one moves a modeled number. The vector kernels must count exactly the
+// work of the scalar ones.
+TEST(Wfa, CountersArePinnedOnASeededBatch) {
+  using MemoryMode = WfaAligner::MemoryMode;
+  struct Pinned {
+    const char* name;
+    MemoryMode mode;
+    AlignmentScope scope;
+    WfaCounters counters;
+    usize high_water;
+  };
+  const seq::ReadPairSet batch = seq::fig1_dataset(64, 0.04, 0xC0);
+  // Fields in WfaCounters order: alignments, computed_cells,
+  // extend_matches, extend_probes, score_steps, wavefront_sets,
+  // backtrace_ops, max_score, allocated_bytes, peak_wavefront_bytes.
+  // clang-format off
+  const Pinned pinned[] = {
+      {"kHigh full", MemoryMode::kHigh, AlignmentScope::kFull,
+       {64, 29826, 9655, 5813, 1560, 716, 6480, 32, 119560, 3064}, 6192},
+      {"kLow score-only", MemoryMode::kLow, AlignmentScope::kScoreOnly,
+       {64, 29826, 9655, 5813, 1560, 716, 0, 32, 119560, 1620}, 0},
+      {"kUltralow full", MemoryMode::kUltralow, AlignmentScope::kFull,
+       {64, 86640, 38356, 12113, 8373, 3420, 6479, 32, 349156, 5104}, 6192},
+  };
+  // clang-format on
+  const WfaKernels* levels[] = {
+      &scalar_kernels(), &cpu::simd::wfa_kernels(cpu::simd::active_level())};
+  for (const WfaKernels* kernels : levels) {
+    for (const Pinned& want : pinned) {
+      SCOPED_TRACE(std::string(want.name) + ", " +
+                   (kernels == levels[0] ? "scalar" : "active") + " kernels");
+      WfaAligner::Options options;
+      options.memory_mode = want.mode;
+      // A 2 KiB base-case budget makes kUltralow cut each 100 bp pair at
+      // breakpoints instead of solving it in one retained pass.
+      options.ultralow_base_wavefront_bytes = 2048;
+      options.kernels = kernels;
+      WfaAligner aligner(options);
+      for (usize i = 0; i < batch.size(); ++i) {
+        aligner.align(batch[i].pattern, batch[i].text, want.scope);
+      }
+      const WfaCounters& got = aligner.counters();
+      EXPECT_EQ(got.alignments, want.counters.alignments);
+      EXPECT_EQ(got.computed_cells, want.counters.computed_cells);
+      EXPECT_EQ(got.extend_matches, want.counters.extend_matches);
+      EXPECT_EQ(got.extend_probes, want.counters.extend_probes);
+      EXPECT_EQ(got.score_steps, want.counters.score_steps);
+      EXPECT_EQ(got.wavefront_sets, want.counters.wavefront_sets);
+      EXPECT_EQ(got.backtrace_ops, want.counters.backtrace_ops);
+      EXPECT_EQ(got.max_score, want.counters.max_score);
+      EXPECT_EQ(got.allocated_bytes, want.counters.allocated_bytes);
+      EXPECT_EQ(got.peak_wavefront_bytes, want.counters.peak_wavefront_bytes);
+      EXPECT_EQ(aligner.allocator().high_water(), want.high_water);
+    }
+  }
 }
 
 TEST(Wfa, DeterministicCigars) {
@@ -229,97 +279,6 @@ TEST(Wfa, DeterministicCigars) {
     const auto ra = a.align(pair.pattern, pair.text, AlignmentScope::kFull);
     const auto rb = b.align(pair.pattern, pair.text, AlignmentScope::kFull);
     EXPECT_EQ(ra.cigar, rb.cigar);
-  }
-}
-
-TEST(WfaAdaptive, ExactOnLowErrorPairs) {
-  WfaAligner::Options options;
-  options.heuristic.enabled = true;
-  WfaAligner adaptive(options);
-  baselines::GotohAligner gotoh(options.penalties);
-  Rng rng(38);
-  for (int trial = 0; trial < 25; ++trial) {
-    const auto pair = pimwfa::testing::random_pair(rng, 100, 3);
-    const auto heuristic =
-        adaptive.align(pair.pattern, pair.text, AlignmentScope::kFull);
-    const auto exact =
-        gotoh.align(pair.pattern, pair.text, AlignmentScope::kScoreOnly);
-    EXPECT_EQ(heuristic.score, exact.score);
-    EXPECT_NO_THROW(align::verify_result(heuristic, pair.pattern, pair.text,
-                                         options.penalties));
-  }
-}
-
-TEST(WfaAdaptive, ReducesWorkOnDivergentPairs) {
-  WfaAligner::Options adaptive_options;
-  adaptive_options.heuristic.enabled = true;
-  adaptive_options.heuristic.max_distance_diff = 20;
-  WfaAligner adaptive(adaptive_options);
-  WfaAligner exact(Penalties::defaults());
-  Rng rng(39);
-  u64 adaptive_cells = 0;
-  u64 exact_cells = 0;
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto pair = pimwfa::testing::unrelated_pair(rng, 150, 150);
-    adaptive.reset_counters();
-    adaptive.align(pair.pattern, pair.text, AlignmentScope::kScoreOnly);
-    adaptive_cells += adaptive.counters().computed_cells;
-    exact.reset_counters();
-    exact.align(pair.pattern, pair.text, AlignmentScope::kScoreOnly);
-    exact_cells += exact.counters().computed_cells;
-  }
-  EXPECT_LT(adaptive_cells, exact_cells);
-}
-
-TEST(WfaAdaptive, CigarAlwaysConsistentEvenWhenInexact) {
-  WfaAligner::Options options;
-  options.heuristic.enabled = true;
-  options.heuristic.max_distance_diff = 15;
-  WfaAligner adaptive(options);
-  Rng rng(40);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto pair = pimwfa::testing::unrelated_pair(rng, 120, 120);
-    const auto result =
-        adaptive.align(pair.pattern, pair.text, AlignmentScope::kFull);
-    // Scores may be suboptimal, but the CIGAR must still be a valid
-    // alignment matching its reported score.
-    EXPECT_NO_THROW(align::verify_result(result, pair.pattern, pair.text,
-                                         options.penalties));
-  }
-}
-
-TEST(WfaEdit, MatchesLevenshtein) {
-  EditWfaAligner aligner;
-  Rng rng(41);
-  for (int trial = 0; trial < 30; ++trial) {
-    const auto pair =
-        pimwfa::testing::random_pair(rng, 80, rng.next_below(10));
-    const auto result =
-        aligner.align(pair.pattern, pair.text, AlignmentScope::kFull);
-    EXPECT_EQ(result.score, baselines::levenshtein(pair.pattern, pair.text));
-    EXPECT_NO_THROW(result.cigar.validate(pair.pattern, pair.text));
-    EXPECT_EQ(static_cast<i64>(result.cigar.edit_distance()), result.score);
-  }
-}
-
-TEST(WfaEdit, EmptyInputs) {
-  EditWfaAligner aligner;
-  EXPECT_EQ(aligner.align("", "", AlignmentScope::kFull).score, 0);
-  EXPECT_EQ(aligner.align("", "AC", AlignmentScope::kFull).score, 2);
-  EXPECT_EQ(aligner.align("AC", "", AlignmentScope::kFull).score, 2);
-}
-
-TEST(WfaEdit, AgreesWithAffineUnitPenalties) {
-  // Gap-affine WFA with x=1,o=0,e=1 computes plain edit distance too.
-  EditWfaAligner edit;
-  WfaAligner affine(Penalties::edit());
-  Rng rng(42);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto pair = pimwfa::testing::random_pair(rng, 60, 6);
-    EXPECT_EQ(
-        edit.align(pair.pattern, pair.text, AlignmentScope::kScoreOnly).score,
-        affine.align(pair.pattern, pair.text, AlignmentScope::kScoreOnly)
-            .score);
   }
 }
 
