@@ -19,9 +19,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "align/batch_engine.hpp"
 #include "align/hybrid.hpp"
-#include "align/registry.hpp"
 #include "common/bench_report.hpp"
 #include "common/cli.hpp"
 #include "common/strings.hpp"
@@ -192,41 +190,8 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "  verified: " << with_commas(verified)
-            << " materialized results bit-identical to the pim backend\n";
-
-  // --- sharded zero-copy run --------------------------------------------
-  // The engine path: the materialized batch carved into O(1) sub-views and
-  // kept in flight concurrently against one hybrid backend (whose
-  // calibration cache makes the per-shard probes one-time). Every shard
-  // must materialize in full to compare with the unsharded run, so this
-  // section runs a registry-built hybrid on a small fully-simulated system
-  // instead of the virtual paper system.
-  align::BatchOptions sharded_options = options;
-  sharded_options.pim_dpus = 64;
-  align::BatchEngine engine(
-      align::backend_registry().create("hybrid", sharded_options), 2, 2);
-  const align::BatchResult sharded = engine.run_sharded(batch, scope, 4);
-  const align::BatchResult unsharded =
-      align::backend_registry().create("hybrid", sharded_options)
-          ->run(batch, scope);
-  if (sharded.results.size() != batch.size() ||
-      unsharded.results.size() != batch.size()) {
-    std::cerr << "hybrid: sharded run materialized " << sharded.results.size()
-              << " and unsharded " << unsharded.results.size() << " of "
-              << batch.size() << " pairs\n";
-    return 1;
-  }
-  for (usize i = 0; i < batch.size(); ++i) {
-    if (!(sharded.results[i] == unsharded.results[i])) {
-      std::cerr << "hybrid: sharded-vs-unsharded divergence on pair " << i
-                << "\n";
-      return 1;
-    }
-  }
-  std::cout << "  sharded : 4 view shards bit-identical to the unsharded "
-               "run, "
-            << sharded.timings.bases_copied << " bases copied (hybrid run: "
-            << bases_copied << ")\n";
+            << " materialized results bit-identical to the pim backend; "
+            << bases_copied << " bases copied\n";
 
   BenchReport report("hybrid");
   report.set_param("pairs", static_cast<i64>(modeled_pairs));
@@ -255,11 +220,9 @@ int main(int argc, char** argv) {
                     static_cast<double>(pt.bytes_to_device), "bytes");
   report.add_metric("pim_bytes_from_device",
                     static_cast<double>(pt.bytes_from_device), "bytes");
-  // Zero-copy tripwires: bases deep-copied to carve the hybrid split and
-  // the engine's shards. The CI baseline pins both to exactly 0.
+  // Zero-copy tripwire: bases deep-copied to carve the hybrid split. The
+  // CI baseline pins it to exactly 0.
   report.add_metric("bases_copied", static_cast<double>(bases_copied));
-  report.add_metric("sharded_bases_copied",
-                    static_cast<double>(sharded.timings.bases_copied));
   // Measured, but runner-speed independent: CI caps both with a ceiling.
   report.add_metric("peak_rss_mb", peak_rss_mb(), "MiB");
   report.add_metric("minflt", minor_faults(), "faults");

@@ -1,21 +1,27 @@
-// Sustained AlignService throughput vs the one-shot engine path.
+// Streamed AlignService vs one whole-set backend run, with the service's
+// batch formation gated on counts.
 //
-// The streaming service must not tax the batch stack: ingesting the same
-// workload as a stream of small requests (formed into engine-sized
-// batches through a bounded arena ring) has to sustain the throughput of
-// a one-shot run_sharded over the materialized set, minus scheduling
-// overhead. This bench runs both paths back to back on the same backend
-// and engine shape, verifies the per-request results are bit-identical
-// to the one-shot results, asserts the arena ring actually bounded
-// resident pair storage, and reports sustained throughput plus p50/p99
-// request latency; with --json it emits the BENCH_service.json that the
-// perf-smoke CI job gates on (service >= 0.9x one-shot).
+// The same workload runs two ways on the same backend: as one
+// BatchAligner::run over the materialized set on a --workers thread pool
+// (the one-shot reference), and as a stream of small requests through an
+// AlignService, which forms engine-sized batches in its bounded arena
+// ring. Each repetition runs both back to back. The bench verifies that
+// the per-request results are bit-identical to the one-shot results and
+// that the arena ring bounded resident pair storage, and reports
+// throughput plus p50/p99 request latency. With --json it emits the
+// BENCH_service.json that the perf-smoke CI job gates on: the batches
+// formed, the peak resident pairs and the bases copied while the requests
+// streamed. With --batch-delay-ms far beyond the run, only the size
+// watermark and the final flush form batches, so all three are exact
+// for fixed flags. The streamed/one-shot wall ratio is measured and
+// reported, not gated: it moves with the runner.
 //
 //   ./bench_service
 //   ./bench_service --pairs 50000 --request 32 --batch-pairs 2048
-//   ./bench_service --json BENCH_service.json
+//   ./bench_service --batch-delay-ms 60000 --json BENCH_service.json
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -25,15 +31,17 @@
 #include "common/bench_report.hpp"
 #include "common/cli.hpp"
 #include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "seq/generator.hpp"
+#include "seq/view.hpp"
 
 int main(int argc, char** argv) {
   using namespace pimwfa;
   Cli cli(argc, argv);
   cli.set_description(
-      "Sustained AlignService streaming throughput vs one-shot "
-      "run_sharded on the same backend");
+      "Sustained AlignService streaming throughput vs one whole-set run "
+      "on the same backend");
   align::BatchFlags defaults;
   defaults.pairs = 20000;
   defaults.score_only = true;
@@ -59,7 +67,7 @@ int main(int argc, char** argv) {
     max_in_flight = static_cast<usize>(
         cli.get_int("in-flight", 2, "concurrent engine batches"));
     workers = static_cast<usize>(
-        cli.get_int("workers", 4, "engine worker threads"));
+        cli.get_int("workers", 4, "worker threads (engine and one-shot)"));
     repeats = static_cast<usize>(
         cli.get_int("repeat", 2, "timed repetitions (best wins)"));
     json = cli.get_string("json", "", "write a BenchReport here");
@@ -84,8 +92,6 @@ int main(int argc, char** argv) {
 
   const seq::ReadPairSet workload =
       seq::fig1_dataset(flags.pairs, flags.error_rate, flags.seed);
-  const usize shards =
-      std::max<usize>(1, (workload.size() + batch_pairs - 1) / batch_pairs);
 
   const auto make_backend = [&] {
     return align::backend_registry().create(flags.backend, flags.options);
@@ -98,36 +104,36 @@ int main(int argc, char** argv) {
   service_options.max_batch_delay = std::chrono::milliseconds(batch_delay_ms);
   service_options.max_queued_pairs = queue_pairs;
 
-  std::cout << "AlignService streaming vs one-shot run_sharded ("
+  std::cout << "AlignService streaming vs one-shot run ("
             << with_commas(workload.size()) << " pairs, backend="
             << flags.backend << ", request=" << request_pairs
-            << ", batch<=" << batch_pairs << ", " << shards << " shards)\n\n";
+            << ", batch<=" << batch_pairs << ")\n\n";
+
+  // The one-shot run gets the worker pool the service's engine hands its
+  // backend (none for --workers 0).
+  const std::unique_ptr<ThreadPool> pool =
+      workers > 0 ? std::make_unique<ThreadPool>(workers) : nullptr;
 
   // Each repetition measures the one-shot path and the streaming path
-  // back to back, and the gate metric is the best per-rep ratio: paired
-  // runs see the same machine conditions (noisy-neighbor epochs, single-
-  // core scheduling), so the ratio is far more stable than comparing a
-  // best-of-N of each phase measured at different times. A real service
-  // regression slows every rep's streaming half and survives the max.
-  double sharded_seconds = 0;
+  // back to back, and the reported ratio is the best per-rep ratio:
+  // paired runs see the same machine conditions (noisy-neighbor epochs,
+  // single-core scheduling), so the ratio is more stable than comparing a
+  // best-of-N of each phase measured at different times.
+  double oneshot_seconds = 0;
   double service_seconds = 0;
   double best_ratio = 0;
-  align::BatchResult sharded;
+  u64 bases_copied = 0;
+  align::BatchResult oneshot;
   align::ServiceStats stats;
   bool verified = true;
   for (usize rep = 0; rep < repeats; ++rep) {
-    // --- one-shot reference: run_sharded over the materialized set -------
-    double rep_sharded_seconds = 0;
-    {
-      align::BatchEngine engine(make_backend(), max_in_flight, workers);
-      WallTimer timer;
-      align::BatchResult result = engine.run_sharded(
-          seq::ReadPairSpan(workload), flags.scope(), shards);
-      rep_sharded_seconds = timer.seconds();
-      sharded = std::move(result);
-    }
-    if (rep == 0 || rep_sharded_seconds < sharded_seconds) {
-      sharded_seconds = rep_sharded_seconds;
+    // --- one-shot reference: one run over the materialized set -----------
+    const std::unique_ptr<align::BatchAligner> backend = make_backend();
+    WallTimer oneshot_timer;
+    oneshot = backend->run(workload, flags.scope(), pool.get());
+    const double rep_oneshot_seconds = oneshot_timer.seconds();
+    if (rep == 0 || rep_oneshot_seconds < oneshot_seconds) {
+      oneshot_seconds = rep_oneshot_seconds;
     }
 
     // --- streaming: the same pairs as a stream of small requests ---------
@@ -147,6 +153,10 @@ int main(int argc, char** argv) {
     align::AlignService service(make_backend(), service_options);
     std::vector<align::RequestHandle> handles;
     handles.reserve(requests.size());
+    // Every base copied while the requests stream - by the service or by
+    // the backend under it - moves this process-wide counter.
+    const u64 copied_before =
+        seq::bases_copied_counter().load(std::memory_order_relaxed);
     WallTimer timer;
     for (auto& request : requests) {
       handles.push_back(service.submit_wait(std::move(request)));
@@ -154,25 +164,28 @@ int main(int argc, char** argv) {
     service.flush();
     service.drain();
     const double rep_service_seconds = timer.seconds();
+    bases_copied +=
+        seq::bases_copied_counter().load(std::memory_order_relaxed) -
+        copied_before;
     if (rep == 0 || rep_service_seconds < service_seconds) {
       service_seconds = rep_service_seconds;
     }
     best_ratio =
-        std::max(best_ratio, rep_sharded_seconds / rep_service_seconds);
+        std::max(best_ratio, rep_oneshot_seconds / rep_service_seconds);
     stats = service.stats();
 
     // Bit-identity: concatenated request results == the one-shot results.
     usize offset = 0;
     for (auto& handle : handles) {
       for (align::AlignmentResult& result : handle.get()) {
-        if (offset >= sharded.results.size() ||
-            !(result == sharded.results[offset])) {
+        if (offset >= oneshot.results.size() ||
+            !(result == oneshot.results[offset])) {
           verified = false;
         }
         ++offset;
       }
     }
-    if (offset != sharded.results.size()) verified = false;
+    if (offset != oneshot.results.size()) verified = false;
   }
   if (!verified) {
     std::cerr << "bench_service: streamed results diverge from the "
@@ -180,12 +193,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double pairs_f = static_cast<double>(workload.size());
-  const double sharded_throughput = pairs_f / sharded_seconds;
+  const double oneshot_throughput = pairs_f / oneshot_seconds;
   const double service_throughput = pairs_f / service_seconds;
 
   // The whole point of the arena ring: resident batch storage stays under
   // ring-size x batch-size no matter how many pairs streamed through.
-  const usize arena_count = max_in_flight + 1;  // ServiceOptions auto size
+  const usize arena_count = max_in_flight + 1;  // the service's ring
   const usize resident_bound = arena_count * (batch_pairs + request_pairs - 1);
   if (stats.peak_resident_pairs > resident_bound) {
     std::cerr << "bench_service: peak resident pairs "
@@ -197,24 +210,25 @@ int main(int argc, char** argv) {
   std::cout << strprintf("  %-22s %12s %14s\n", "path", "wall", "pairs/s");
   std::cout << "  " << std::string(50, '-') << "\n";
   std::cout << strprintf(
-      "  %-22s %12s %14s\n", "one-shot run_sharded",
-      format_seconds(sharded_seconds).c_str(),
-      with_commas(static_cast<u64>(sharded_throughput)).c_str());
+      "  %-22s %12s %14s\n", "one-shot run",
+      format_seconds(oneshot_seconds).c_str(),
+      with_commas(static_cast<u64>(oneshot_throughput)).c_str());
   std::cout << strprintf(
       "  %-22s %12s %14s\n", "streamed service",
       format_seconds(service_seconds).c_str(),
       with_commas(static_cast<u64>(service_throughput)).c_str());
   std::cout << strprintf(
-      "\n  service/one-shot: %.3fx (best paired rep); request latency "
-      "p50 %.2fms p99 %.2fms\n",
+      "\n  service/one-shot: %.3fx (best paired rep; measured, not gated); "
+      "request latency p50 %.2fms p99 %.2fms\n",
       best_ratio, stats.latency_p50_ms, stats.latency_p99_ms);
   std::cout << strprintf(
       "  %s batches; peak resident %s pairs (bound %s), peak queued %s "
-      "pairs\n",
+      "pairs; %s bases copied\n",
       with_commas(stats.batches).c_str(),
       with_commas(stats.peak_resident_pairs).c_str(),
       with_commas(resident_bound).c_str(),
-      with_commas(stats.peak_queued_pairs).c_str());
+      with_commas(stats.peak_queued_pairs).c_str(),
+      with_commas(bases_copied).c_str());
   std::cout << "  verified: streamed results bit-identical to the one-shot "
                "run\n";
 
@@ -229,19 +243,20 @@ int main(int argc, char** argv) {
   report.set_param("workers", static_cast<i64>(workers));
   report.set_param("error_rate", flags.error_rate);
   report.set_param("score_only", flags.score_only ? "true" : "false");
+  // Measured wall time; not gated (see the header).
   report.add_metric("service_throughput", service_throughput, "pairs/s");
-  report.add_metric("sharded_throughput", sharded_throughput, "pairs/s");
-  // The CI gate: sustained streaming must stay within 10% of one-shot
-  // (best paired repetition, so runner noise cancels out of the ratio).
-  report.add_metric("service_vs_sharded_throughput", best_ratio, "x");
+  report.add_metric("oneshot_throughput", oneshot_throughput, "pairs/s");
+  report.add_metric("service_vs_oneshot_throughput", best_ratio, "x");
   report.add_metric("latency_p50_ms", stats.latency_p50_ms, "ms");
   report.add_metric("latency_p99_ms", stats.latency_p99_ms, "ms");
+  // The CI gates, from the last repetition's service: exact counts when
+  // the delay watermark never fires.
   report.add_metric("batches", static_cast<double>(stats.batches));
   report.add_metric("peak_resident_pairs",
                     static_cast<double>(stats.peak_resident_pairs), "pairs");
-  // Zero-copy tripwire, pinned to exactly 0 by the CI baseline.
-  report.add_metric("bases_copied",
-                    static_cast<double>(sharded.timings.bases_copied));
+  // Zero-copy tripwire over every repetition's streamed run, pinned to
+  // exactly 0 by the CI baseline.
+  report.add_metric("bases_copied", static_cast<double>(bases_copied));
   if (!json.empty()) {
     report.write(json);
     std::cout << "\nBenchReport written to " << json << "\n";

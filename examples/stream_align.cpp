@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   usize batch_pairs = 0;
   i64 batch_delay_ms = 0;
   usize queue_pairs = 0;
-  usize arenas = 0;
   try {
     flags = align::parse_batch_flags(cli, defaults);
     input = cli.get_string(
@@ -85,8 +84,6 @@ int main(int argc, char** argv) {
         "batch-delay-ms", 2, "service batch-latency watermark");
     queue_pairs = static_cast<usize>(cli.get_int(
         "queue-pairs", 4096, "admission high-watermark (backpressure)"));
-    arenas = static_cast<usize>(
-        cli.get_int("arenas", 0, "arena ring size (0 = auto)"));
     cli.reject_unknown_flags();
   } catch (const Error& error) {
     // --help wins over a malformed flag (and a parse error must not
@@ -147,7 +144,6 @@ int main(int argc, char** argv) {
   service_options.max_batch_pairs = batch_pairs;
   service_options.max_batch_delay = std::chrono::milliseconds(batch_delay_ms);
   service_options.max_queued_pairs = queue_pairs;
-  service_options.arenas = arenas;
   std::unique_ptr<align::AlignService> service;
   try {
     // The backend and the service validate their options here; a rejected

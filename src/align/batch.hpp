@@ -138,9 +138,9 @@ struct BatchTimings {
 struct BatchResult {
   // Results for pairs [0, results.size()), a contiguous prefix of the
   // input batch: the whole batch unless the backend is a pim backend that
-  // simulates only part of the system (PimOptions::simulate_dpus). The
-  // align/ drivers (BatchEngine::run_sharded, AlignService) reject such
-  // a partial batch.
+  // simulates only part of the system (PimOptions::simulate_dpus).
+  // AlignService, the asynchronous driver, fails the requests past such a
+  // partial batch's last result.
   std::vector<AlignmentResult> results;
   BatchTimings timings;
   std::string backend;  // registry key of the backend that ran

@@ -7,23 +7,19 @@
 // on every align_batch - happens once per engine instead. submit() hands
 // a batch to the dispatcher and returns immediately; up to max_in_flight
 // batches execute concurrently against the (thread-safe) backend, each
-// ending in the caller's completion (the future overloads adapt it).
-// run_sharded() demonstrates the read-mapper-shaped consumer: split one
-// large batch into shards, keep them all in flight, and merge the
-// per-shard results back in input order.
+// ending in the caller's completion. AlignService is the driver built on
+// it.
 //
 // Lifecycle: construct over a built backend (e.g. one from
-// backend_registry().create) -> submit()/run_sharded() freely from any
-// thread -> wait_idle() or let the destructor drain in-flight batches
-// (running their completions).
+// backend_registry().create) -> submit() freely from any thread ->
+// wait_idle() or let the destructor drain in-flight batches (running
+// their completions).
 #pragma once
 
 #include <atomic>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
-#include <string>
 
 #include "align/batch.hpp"
 
@@ -62,74 +58,41 @@ class BatchEngine {
   // outcome. Zero-copy: the caller's pair storage must stay alive and
   // unmodified until `done` has run. Because that borrow outlives the call,
   // it must be explicit: an owning lvalue set does not convert silently (see
-  // the deleted overloads) - write submit(seq::ReadPairSpan(set), ...) to
-  // borrow, or submit(std::move(set), ...) to hand over ownership.
+  // the deleted overload) - write submit(seq::ReadPairSpan(set), ...).
   //
   // Under PIMWFA_CHECKED_VIEWS the borrow is enforced: the span is
   // validated at dispatch (an already-dangling span throws LifetimeError
-  // here, synchronously, with the counters untouched) and again at task
+  // here, synchronously, with in_flight() untouched) and again at task
   // start (a borrow that went stale in the async gap reaches `done` as
   // LifetimeError instead of a use-after-free in the backend). When
   // submit() throws, `done` never runs.
   void submit(seq::ReadPairSpan batch, AlignmentScope scope, Completion done);
-  // Adapter: the future carries what `done` would receive.
-  std::future<BatchResult> submit(seq::ReadPairSpan batch,
-                                  AlignmentScope scope);
-  // Owning overload: moves the set into the batch's completion (no base
-  // is copied), so the caller may drop its handle immediately.
-  std::future<BatchResult> submit(seq::ReadPairSet&& batch,
-                                  AlignmentScope scope);
   // Deleted: an lvalue ReadPairSet would silently become a borrow that
   // must outlive the batch - too easy to dangle. Opt in explicitly with
-  // ReadPairSpan(set) or hand the set over with std::move(set).
+  // ReadPairSpan(set).
   void submit(const seq::ReadPairSet& batch, AlignmentScope scope,
               Completion done) = delete;
-  std::future<BatchResult> submit(const seq::ReadPairSet& batch,
-                                  AlignmentScope scope) = delete;
-
-  // Split `batch` into `shards` contiguous sub-views (O(1) each - the
-  // parent storage is borrowed until the call returns), submit them all
-  // (in flight together up to max_in_flight), and merge the results back
-  // in input order. Modeled times add up across shards - the shards
-  // occupy the same modeled hardware back to back - while wall time
-  // reflects the overlapped simulation.
-  //
-  // Error path: every in-flight shard is drained before an error is
-  // rethrown (first one wins, like ThreadPool::parallel_for) - a failing
-  // shard never leaves later shards running against storage this frame
-  // no longer guards. A shard with fewer results than pairs (a pim
-  // backend with PimOptions::simulate_dpus) fails the call with Error,
-  // as AlignService fails a short batch.
-  BatchResult run_sharded(seq::ReadPairSpan batch, AlignmentScope scope,
-                          usize shards);
 
   // Block until every submitted batch has completed.
   void wait_idle();
 
-  // Batches submitted but not yet completed. Observability counters, not
-  // synchronization: they are updated and read with relaxed ordering (a
+  // Batches submitted but not yet completed. An observability counter, not
+  // synchronization: it is updated and read with relaxed ordering (a
   // reader learns the count, never "the batch's results are visible").
-  // Completion is published by the completion / wait_idle(), not by these.
+  // Completion is published by the completion / wait_idle(), not by it.
   usize in_flight() const noexcept {
     return in_flight_.load(std::memory_order_relaxed);
   }
-  usize submitted() const noexcept {
-    return submitted_.load(std::memory_order_relaxed);
-  }
-
-  const BatchAligner& backend() const noexcept { return *backend_; }
-  std::string backend_name() const { return backend_->name(); }
 
  private:
   std::unique_ptr<BatchAligner> backend_;
-  // Relaxed atomics (see in_flight()/submitted()): incremented together
-  // in submit() before the dispatcher hand-off, decremented by the task
-  // after its completion ran - possibly before submit() even returns.
+  // Relaxed atomic (see in_flight()): incremented in submit() before the
+  // dispatcher hand-off, decremented by the task after its completion ran
+  // - possibly before submit() even returns.
   std::atomic<usize> in_flight_{0};
-  std::atomic<usize> submitted_{0};
   // Declaration order doubles as teardown order, so the pools go first:
   // the dispatcher's destructor runs the tasks still queued, and those
-  // use the worker pool, the backend and the counters above.
+  // use the worker pool, the backend and the counter above.
   std::unique_ptr<ThreadPool> workers_;
   std::unique_ptr<ThreadPool> dispatcher_;
 };

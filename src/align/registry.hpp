@@ -3,8 +3,8 @@
 // Every execution backend (CPU baseline, SIMD CPU, PIM, the hybrid
 // dispatcher) registers a factory under a stable name; examples, benches
 // and the read mapper construct backends by that name, which is what a
-// common `--backend=` flag resolves against, and hand them to the
-// BatchEngine or AlignService to drive. Every backend the registry builds
+// common `--backend=` flag resolves against, and either run them directly
+// or hand them to AlignService to drive. Every backend the registry builds
 // is fully simulated and returns a result for every pair. The built-in
 // backends are registered on first use of backend_registry():
 //

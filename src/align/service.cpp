@@ -51,8 +51,7 @@ AlignService::AlignService(std::unique_ptr<BatchAligner> backend,
                                             options_.engine.max_in_flight,
                                             options_.engine.workers)) {
   options_.validate();
-  const usize arena_count =
-      options_.arenas ? options_.arenas : options_.engine.max_in_flight + 1;
+  const usize arena_count = options_.engine.max_in_flight + 1;
   {
     // No concurrency yet (the threads start below); the lock is taken for
     // the annotation's benefit, and because it costs nothing here.

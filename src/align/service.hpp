@@ -1,11 +1,11 @@
 // Streaming alignment service: a long-lived, bounded-memory front-end
 // over align::BatchEngine.
 //
-// The batch stack to date is one-shot: materialize a ReadPairSet, submit,
-// wait. AlignService is the read-mapper-shaped consumer the ROADMAP
-// targets instead - callers stream in small requests (a few pairs each)
-// from any thread and get a future per request, while the service forms
-// engine-sized batches behind the scenes:
+// The engine runs whole batches whose storage outlives them. AlignService
+// is the driver that gives it such batches from a stream: callers submit
+// small requests (a few pairs each) from any thread and get a future per
+// request, while the service forms engine-sized batches behind the
+// scenes:
 //
 //   ingest --> [admission watermark] --> pending queue
 //          --> [batcher thread] forms batches by size/latency watermark,
@@ -16,11 +16,12 @@
 //
 // Memory stays bounded end to end: admission blocks (submit_wait) or
 // refuses (try_submit) above a high-watermark of admitted-but-unfinished
-// pairs/bases, and batch storage lives in a fixed ring of generation-
-// counted ReadPairSet arenas - an arena is cleared and reused only after
-// its batch's completion ran, and under PIMWFA_CHECKED_VIEWS any recycle
-// that raced a live borrow surfaces as LifetimeError instead of a
-// use-after-free.
+// pairs/bases, and batch storage lives in a fixed ring of
+// engine.max_in_flight + 1 generation-counted ReadPairSet arenas (every
+// in-flight batch owns one while the next one forms) - an arena is
+// cleared and reused only after its batch's completion ran, and under
+// PIMWFA_CHECKED_VIEWS any recycle that raced a live borrow surfaces as
+// LifetimeError instead of a use-after-free.
 //
 // Requests carry an optional deadline and can be cancelled; either
 // resolves that request's future exceptionally (DeadlineExpired /
@@ -84,11 +85,6 @@ struct ServiceOptions {
   // different footprints, so for long-read traffic this watermark - not
   // max_queued_pairs - is the one that fires first.
   u64 max_queued_bases = 64u << 20;
-
-  // ReadPairSet arenas in the recycling ring - the bound on resident
-  // batch storage. 0 = engine.max_in_flight + 1 (every in-flight batch
-  // owns an arena while the next one forms).
-  usize arenas = 0;
 
   // Throws InvalidArgument on out-of-range fields.
   void validate() const;
@@ -205,7 +201,6 @@ class AlignService {
 
   ServiceStats stats() const PIMWFA_EXCLUDES(mutex_);
 
-  BatchEngine& engine() noexcept { return *engine_; }
   const BatchEngine& engine() const noexcept { return *engine_; }
 
  private:

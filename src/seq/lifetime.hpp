@@ -1,7 +1,7 @@
 // Debug-mode borrow checking for the zero-copy batch views.
 //
 // The whole batch stack passes seq::ReadPairSpan - a non-owning view -
-// across async boundaries (BatchEngine futures, pipelined PIM stages,
+// across async boundaries (BatchEngine completions, pipelined PIM stages,
 // cached hybrid calibrations). The lifetime contract ("the set outlives
 // every span; mutation invalidates") is documented, but an accidental
 // violation in a Release build is a use-after-free that only an ASan

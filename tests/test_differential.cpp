@@ -17,12 +17,14 @@
 // failure message carries the offending pair so it can be replayed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "align/batch_engine.hpp"
 #include "align/registry.hpp"
+#include "align/service.hpp"
 #include "align/verify.hpp"
 #include "baselines/gotoh.hpp"
 #include "baselines/myers.hpp"
@@ -32,6 +34,7 @@
 #include "cpu/simd/simd.hpp"
 #include "pim/host.hpp"
 #include "seq/generator.hpp"
+#include "seq/view.hpp"
 #include "test_util.hpp"
 #include "upmem/config.hpp"
 #include "wfa/wfa_aligner.hpp"
@@ -453,18 +456,18 @@ INSTANTIATE_TEST_SUITE_P(
         /*penalty_sets=*/{Penalties::defaults(), Penalties{2, 12, 1}})),
     [](const auto& info) { return info.param.name(); });
 
-// --- sharded zero-copy submission ----------------------------------------
+// --- the streaming service over every backend ---------------------------
 //
-// BatchEngine::run_sharded carves one batch into O(1) sub-views and keeps
-// them in flight concurrently; the merged results must be bit-identical
-// (scores + CIGARs) and in input order vs. the unsharded owning path, on
-// cpu, hybrid and pim under each of its BatchOptions variants, with zero
-// bases copied by the carve.
+// AlignService streams each batch as 16-pair requests into 64-pair batches
+// (arena-backed, run by its engine); the concatenated request results must
+// be bit-identical (scores + CIGARs) to one whole-set run on cpu, on pim
+// under each of its BatchOptions variants and on hybrid, with no base
+// copied on the way.
 
-class ShardedViewDifferential : public ::testing::TestWithParam<DiffConfig> {
-};
+class ServiceDifferential : public ::testing::TestWithParam<DiffConfig> {};
 
-TEST_P(ShardedViewDifferential, ShardedViewsMatchTheUnshardedOwningPath) {
+TEST_P(ServiceDifferential, StreamedRequestsMatchOneWholeSetRun) {
+  constexpr usize kRequestPairs = 16;
   const DiffConfig config = GetParam();
   const seq::ReadPairSet batch =
       pimwfa::testing::diff_batch(config, kPairsPerConfig);
@@ -474,8 +477,8 @@ TEST_P(ShardedViewDifferential, ShardedViewsMatchTheUnshardedOwningPath) {
   options.pim_dpus = 4;
   options.pim_tasklets = 8;
   options.cpu_threads = 2;
-  // Deterministic CPU calibration: the hybrid's shard splits then depend
-  // only on shape, and the sweep stays runner-independent.
+  // Deterministic CPU calibration: the hybrid's per-batch splits then
+  // depend only on shape, and the sweep stays runner-independent.
   options.cpu_per_pair_seconds = 5e-6;
 
   struct Case {
@@ -489,32 +492,58 @@ TEST_P(ShardedViewDifferential, ShardedViewsMatchTheUnshardedOwningPath) {
   }
   cases.push_back({"hybrid", "hybrid", options});
 
+  align::ServiceOptions service_options;
+  service_options.scope = AlignmentScope::kFull;
+  service_options.max_batch_pairs = 4 * kRequestPairs;
+  // Batches form only at the size watermark and the final drain.
+  service_options.max_batch_delay = std::chrono::hours(1);
+
   align::BackendRegistry& registry = align::backend_registry();
   for (const auto& [backend, key, backend_options] : cases) {
-    // The owning path: the whole set handed to the backend in one run.
-    const align::BatchResult unsharded =
+    const align::BatchResult whole =
         registry.create(backend, backend_options)
             ->run(batch, AlignmentScope::kFull);
-    ASSERT_EQ(unsharded.results.size(), batch.size()) << key;
+    ASSERT_EQ(whole.results.size(), batch.size()) << key;
 
-    align::BatchEngine engine(registry.create(backend, backend_options),
-                              /*max_in_flight=*/3, /*workers=*/2);
-    const align::BatchResult sharded =
-        engine.run_sharded(batch, AlignmentScope::kFull, /*shards=*/3);
-
-    ASSERT_EQ(sharded.results.size(), batch.size()) << key;
-    for (usize i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(sharded.results[i], unsharded.results[i])
-          << key << " sharded-vs-unsharded, " << pair_diag(config, i, batch[i]);
+    std::vector<std::vector<seq::ReadPair>> requests;
+    for (usize begin = 0; begin < batch.size(); begin += kRequestPairs) {
+      const usize end = std::min(batch.size(), begin + kRequestPairs);
+      requests.emplace_back(batch.pairs().begin() + begin,
+                            batch.pairs().begin() + end);
     }
-    EXPECT_EQ(sharded.timings.pairs, batch.size()) << key;
-    EXPECT_EQ(sharded.timings.bases_copied, 0u)
-        << key << ": sharded dispatch over views must not copy bases";
+    align::AlignService service(registry.create(backend, backend_options),
+                                service_options);
+    const u64 copied_before =
+        seq::bases_copied_counter().load(std::memory_order_relaxed);
+    std::vector<align::RequestHandle> handles;
+    for (auto& request : requests) {
+      handles.push_back(service.submit_wait(std::move(request)));
+    }
+    service.drain();
+    EXPECT_EQ(seq::bases_copied_counter().load(std::memory_order_relaxed),
+              copied_before)
+        << key << ": streaming through the service must not copy bases";
+    EXPECT_EQ(service.stats().batches,
+              (batch.size() + service_options.max_batch_pairs - 1) /
+                  service_options.max_batch_pairs)
+        << key;
+
+    usize offset = 0;
+    for (auto& handle : handles) {
+      for (const align::AlignmentResult& result : handle.get()) {
+        ASSERT_LT(offset, batch.size()) << key;
+        ASSERT_EQ(result, whole.results[offset])
+            << key << " streamed-vs-whole-set, "
+            << pair_diag(config, offset, batch[offset]);
+        ++offset;
+      }
+    }
+    EXPECT_EQ(offset, batch.size()) << key;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, ShardedViewDifferential,
+    Sweep, ServiceDifferential,
     ::testing::ValuesIn(pimwfa::testing::diff_cross(
         /*lengths=*/{64, 100},
         /*error_rates=*/{0.02, 0.10},

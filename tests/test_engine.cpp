@@ -1,7 +1,7 @@
 // The unified batch execution layer: BatchAligner vocabulary, backend
 // registry, the hybrid CPU+PIM dispatcher's split mechanics, and the
-// asynchronous BatchEngine (multi-batch in-flight submission, input-order
-// sharded merge).
+// asynchronous BatchEngine (multi-batch in-flight submission, the
+// completion contract, teardown with batches queued).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -381,17 +381,16 @@ TEST(BatchEngine, KeepsMultipleBatchesInFlightConcurrently) {
   constexpr usize kBatches = 3;
   align::BatchEngine engine(std::make_unique<BarrierBackend>(kBatches),
                             /*max_in_flight=*/kBatches, /*workers=*/0);
+  const std::vector<usize> sizes = {5, 9, 13};
+  std::vector<seq::ReadPairSet> batches(kBatches);
   std::vector<std::future<BatchResult>> futures;
-  std::vector<usize> sizes = {5, 9, 13};
-  for (const usize n : sizes) {
-    seq::ReadPairSet batch;
-    for (usize i = 0; i < n; ++i) {
-      batch.add({std::string(n, 'A'), std::string(n, 'A')});
+  for (usize b = 0; b < kBatches; ++b) {
+    for (usize i = 0; i < sizes[b]; ++i) {
+      batches[b].add({std::string(sizes[b], 'A'), std::string(sizes[b], 'A')});
     }
-    futures.push_back(engine.submit(std::move(batch),
-                                    AlignmentScope::kScoreOnly));
+    futures.push_back(testing::submit_future(
+        engine, seq::ReadPairSpan(batches[b]), AlignmentScope::kScoreOnly));
   }
-  EXPECT_EQ(engine.submitted(), kBatches);
   for (usize b = 0; b < kBatches; ++b) {
     const BatchResult result = futures[b].get();
     ASSERT_EQ(result.results.size(), sizes[b]);
@@ -407,14 +406,15 @@ TEST(BatchEngine, SubmitViaRegistryBackendReturnsCorrectResults) {
   align::BatchEngine engine(
       align::backend_registry().create("cpu", tiny_options()),
       /*max_in_flight=*/2, /*workers=*/2);
-  EXPECT_EQ(engine.backend_name(), "cpu");
 
   const seq::ReadPairSet a = small_batch(40, 0xAA);
   const seq::ReadPairSet b = small_batch(60, 0xBB);
   // Borrowing an lvalue set is an explicit act (the ReadPairSet lvalue
   // overload is deleted): a and b outlive the futures below.
-  auto fa = engine.submit(seq::ReadPairSpan(a), AlignmentScope::kFull);
-  auto fb = engine.submit(seq::ReadPairSpan(b), AlignmentScope::kFull);
+  auto fa = testing::submit_future(engine, seq::ReadPairSpan(a),
+                                   AlignmentScope::kFull);
+  auto fb = testing::submit_future(engine, seq::ReadPairSpan(b),
+                                   AlignmentScope::kFull);
 
   const cpu::CpuBatchAligner reference(
       cpu::CpuBatchOptions{align::Penalties::defaults(), 1});
@@ -423,6 +423,7 @@ TEST(BatchEngine, SubmitViaRegistryBackendReturnsCorrectResults) {
 
   const BatchResult got_a = fa.get();
   const BatchResult got_b = fb.get();
+  EXPECT_EQ(got_a.backend, "cpu");
   ASSERT_EQ(got_a.results.size(), a.size());
   ASSERT_EQ(got_b.results.size(), b.size());
   for (usize i = 0; i < a.size(); ++i) {
@@ -433,98 +434,7 @@ TEST(BatchEngine, SubmitViaRegistryBackendReturnsCorrectResults) {
   }
 }
 
-TEST(BatchEngine, RunShardedMergesInInputOrder) {
-  const seq::ReadPairSet batch = small_batch(101, 0xCC);
-  align::BatchEngine engine(
-      align::backend_registry().create("pim", tiny_options()),
-      /*max_in_flight=*/3, /*workers=*/2);
-
-  const BatchResult sharded =
-      engine.run_sharded(batch, AlignmentScope::kFull, /*shards=*/5);
-
-  pim::PimOptions reference_options;
-  reference_options.system = upmem::SystemConfig::tiny(4);
-  reference_options.nr_tasklets = 8;
-  pim::PimBatchAligner reference(reference_options);
-  const pim::PimBatchResult expected =
-      reference.align_batch(batch, AlignmentScope::kFull);
-
-  ASSERT_EQ(sharded.results.size(), batch.size());
-  for (usize i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(sharded.results[i], expected.results[i]) << "pair " << i;
-  }
-  EXPECT_EQ(sharded.timings.pairs, batch.size());
-  EXPECT_GT(sharded.timings.modeled_seconds, 0.0);
-}
-
-TEST(BatchEngine, RunShardedFailsAPartiallyMaterializedShard) {
-  // A partially simulated PIM backend materializes only a prefix of each
-  // shard; the call must fail instead of returning results that stop
-  // short of (or misalign with) the input.
-  const seq::ReadPairSet batch = small_batch(80, 0xDD);
-  pim::PimOptions options = pim::PimOptions::from(tiny_options());
-  options.simulate_dpus = 2;  // of 4 DPUs: half of each shard
-  align::BatchEngine engine(std::make_unique<pim::PimBatchAligner>(options));
-
-  try {
-    (void)engine.run_sharded(batch, AlignmentScope::kFull, /*shards=*/4);
-    FAIL() << "expected Error for a partially materialized shard";
-  } catch (const Error& error) {
-    EXPECT_NE(std::string(error.what()).find("fully materialized"),
-              std::string::npos)
-        << error.what();
-  }
-  engine.wait_idle();
-  EXPECT_EQ(engine.in_flight(), 0u);
-}
-
-TEST(BatchEngine, RunShardedDrainsEveryShardBeforeRethrowing) {
-  // One poison shard (recognized by its first pair's pattern) throws
-  // immediately; the healthy shards take ~30ms each. run_sharded must
-  // drain them all before rethrowing - the caller's span storage is only
-  // guaranteed alive until run_sharded returns, so a shard still running
-  // after the rethrow would be a use-after-free in waiting.
-  class PoisonShardBackend final : public align::BatchAligner {
-   public:
-    explicit PoisonShardBackend(std::atomic<usize>& healthy_completed)
-        : healthy_completed_(healthy_completed) {}
-    BatchResult run(seq::ReadPairSpan batch, align::AlignmentScope,
-                    ThreadPool*) override {
-      if (batch.pattern(0) == "XXXX") throw InvalidArgument("poison shard");
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      BatchResult out;
-      out.backend = name();
-      out.results.resize(batch.size());
-      out.timings.pairs = batch.size();
-      ++healthy_completed_;
-      return out;
-    }
-    std::string name() const override { return "poison"; }
-
-   private:
-    std::atomic<usize>& healthy_completed_;
-  };
-
-  constexpr usize kShards = 4;
-  seq::ReadPairSet batch;
-  batch.add({"XXXX", "XXXX"});  // lands in shard 0, the first to be .get()
-  for (usize i = 1; i < 2 * kShards; ++i) batch.add({"ACGT", "ACGT"});
-
-  std::atomic<usize> healthy_completed{0};
-  align::BatchEngine engine(
-      std::make_unique<PoisonShardBackend>(healthy_completed),
-      /*max_in_flight=*/kShards, /*workers=*/0);
-  EXPECT_THROW(
-      engine.run_sharded(batch, AlignmentScope::kScoreOnly, kShards),
-      InvalidArgument);
-  // At the moment the rethrow reached us, every healthy shard had already
-  // completed: nothing is left running against the caller's storage.
-  EXPECT_EQ(healthy_completed.load(), kShards - 1);
-  engine.wait_idle();
-  EXPECT_EQ(engine.in_flight(), 0u);
-}
-
-TEST(BatchEngine, BackendExceptionsPropagateThroughTheFuture) {
+TEST(BatchEngine, BackendExceptionsReachTheCompletion) {
   class ThrowingBackend final : public align::BatchAligner {
    public:
     BatchResult run(seq::ReadPairSpan, align::AlignmentScope,
@@ -534,10 +444,7 @@ TEST(BatchEngine, BackendExceptionsPropagateThroughTheFuture) {
     std::string name() const override { return "throwing"; }
   };
   align::BatchEngine engine(std::make_unique<ThrowingBackend>(), 1, 0);
-  auto future = engine.submit(small_batch(4), AlignmentScope::kScoreOnly);
-  EXPECT_THROW(future.get(), InvalidArgument);
-
-  // The completion path delivers the same exception, with an empty result.
+  // The completion receives the backend's exception, with an empty result.
   const seq::ReadPairSet batch = small_batch(4);
   std::promise<std::pair<BatchResult, std::exception_ptr>> outcome;
   engine.submit(seq::ReadPairSpan(batch), AlignmentScope::kScoreOnly,
@@ -581,7 +488,6 @@ TEST(BatchEngine, CompletionRunsOnceOnADispatcherThreadWhileCounted) {
     EXPECT_NE(threads[i], std::this_thread::get_id());
     EXPECT_GE(in_flight_seen[i], 1u) << "the batch was no longer counted";
   }
-  EXPECT_EQ(engine.submitted(), kBatches);
   EXPECT_EQ(engine.in_flight(), 0u);
 }
 

@@ -32,6 +32,7 @@ using align::AlignmentScope;
 using align::BatchResult;
 using seq::ReadPairSet;
 using seq::ReadPairSpan;
+using testing::submit_future;
 
 ReadPairSet small_batch(usize pairs = 16, u64 seed = 0x11FE) {
   seq::GeneratorConfig config;
@@ -272,26 +273,32 @@ TEST(CheckedEngine, DanglingSpanFailsAtDispatchWithCountersUntouched) {
     dangling = ReadPairSpan(set);
   }
   // The dispatch-time validation fails synchronously, in the caller's
-  // frame, before any engine state moved: nothing was submitted, nothing
-  // is in flight (the exception-safe counter contract).
-  EXPECT_THROW(engine.submit(dangling, AlignmentScope::kScoreOnly),
+  // frame, before any engine state moved: nothing is in flight (the
+  // exception-safe counter contract) and the completion never runs.
+  bool completed = false;
+  EXPECT_THROW(engine.submit(dangling, AlignmentScope::kScoreOnly,
+                             [&completed](BatchResult, std::exception_ptr) {
+                               completed = true;
+                             }),
                LifetimeError);
-  EXPECT_EQ(engine.submitted(), 0u);
   EXPECT_EQ(engine.in_flight(), 0u);
 
   // The engine is unharmed: a healthy submission still works.
   const ReadPairSet alive = small_batch(8);
   const BatchResult result =
-      engine.submit(ReadPairSpan(alive), AlignmentScope::kScoreOnly).get();
+      submit_future(engine, ReadPairSpan(alive), AlignmentScope::kScoreOnly)
+          .get();
   EXPECT_EQ(result.results.size(), alive.size());
-  EXPECT_EQ(engine.submitted(), 1u);
+  // Checked after a later batch ran on the one dispatcher worker, so a
+  // stray completion of the refused batch would have run by now.
+  EXPECT_FALSE(completed);
 }
 
 // Shared scaffolding for the two span-goes-stale-while-queued scenarios:
 // a gated blocker occupies the engine's single dispatcher worker, the
 // span submission queues behind it (its dispatch-time check passes - the
 // set is still alive), then `tamper` mutates or destroys the set before
-// the gate opens. The task-start validation must fail the future with
+// the gate opens. The task-start validation must hand the completion
 // LifetimeError - the backend never sees the stale span.
 template <typename Tamper>
 void expect_queued_span_fails(Tamper&& tamper) {
@@ -300,11 +307,12 @@ void expect_queued_span_fails(Tamper&& tamper) {
   align::BatchEngine engine(std::move(gate), /*max_in_flight=*/1,
                             /*workers=*/0);
 
-  auto blocker =
-      engine.submit(small_batch(4, 0xB10C), AlignmentScope::kScoreOnly);
+  const ReadPairSet blocker_set = small_batch(4, 0xB10C);
+  auto blocker = submit_future(engine, ReadPairSpan(blocker_set),
+                               AlignmentScope::kScoreOnly);
   auto set = std::make_optional<ReadPairSet>(small_batch(12, 0x57A1E));
   auto queued =
-      engine.submit(ReadPairSpan(*set), AlignmentScope::kScoreOnly);
+      submit_future(engine, ReadPairSpan(*set), AlignmentScope::kScoreOnly);
 
   tamper(set);  // the borrow goes stale while the task is queued
   control->release();
@@ -325,19 +333,6 @@ TEST(CheckedEngine, SpanDestroyedWhileQueuedFailsAtTaskStart) {
   // block - kept alive by the span itself - survives to report it.
   expect_queued_span_fails(
       [](std::optional<ReadPairSet>& set) { set.reset(); });
-}
-
-TEST(CheckedEngine, RunShardedValidatesAtDispatch) {
-  align::BatchEngine engine(std::make_unique<ScanBackend>(),
-                            /*max_in_flight=*/2, /*workers=*/0);
-  ReadPairSpan dangling;
-  {
-    const ReadPairSet set = small_batch(20);
-    dangling = ReadPairSpan(set);
-  }
-  EXPECT_THROW(engine.run_sharded(dangling, AlignmentScope::kScoreOnly, 4),
-               LifetimeError);
-  EXPECT_EQ(engine.in_flight(), 0u);
 }
 
 TEST(CheckedHybrid, PlanRejectsAStaleSpanBeforeProbing) {
@@ -383,7 +378,7 @@ TEST(CheckedViewStress, MutationRacingInFlightBatchesYieldsOnlyLifetimeErrors) {
     // thread - but the task-start and per-access checks race the add()
     // below.
     inflight.push_back(
-        engine.submit(ReadPairSpan(set), AlignmentScope::kScoreOnly));
+        submit_future(engine, ReadPairSpan(set), AlignmentScope::kScoreOnly));
     if (i % 3 == 0) set.add({"ACGTACGT", "ACGTACGA"});
     if (inflight.size() >= 8) {
       for (auto& future : inflight) {
@@ -414,7 +409,8 @@ TEST(CheckedViewStress, MutationRacingInFlightBatchesYieldsOnlyLifetimeErrors) {
   // The engine and the set both survived the storm: a quiescent run over
   // a fresh view is complete and correct.
   const BatchResult final_run =
-      engine.submit(ReadPairSpan(set), AlignmentScope::kScoreOnly).get();
+      submit_future(engine, ReadPairSpan(set), AlignmentScope::kScoreOnly)
+          .get();
   ASSERT_EQ(final_run.results.size(), set.size());
   for (usize i = 0; i < set.size(); ++i) {
     EXPECT_EQ(final_run.results[i].score,

@@ -61,12 +61,11 @@ ReadPairSet stress_batch(usize pairs, u64 seed) {
   return seq::generate_dataset(config);
 }
 
-// --- BatchEngine: concurrent submit + run_sharded -------------------------
+// --- BatchEngine: concurrent submitters ----------------------------------
 
-TEST(RaceStress, EngineConcurrentSubmitAndShardedRuns) {
+TEST(RaceStress, EngineConcurrentSubmit) {
   constexpr usize kProducers = 3;
   constexpr usize kSubmitsPerProducer = 4;
-  constexpr usize kShardedRuns = 2;
 
   BatchOptions options;
   options.cpu_threads = 2;
@@ -80,32 +79,23 @@ TEST(RaceStress, EngineConcurrentSubmitAndShardedRuns) {
   std::vector<BatchResult> expected;
   for (usize t = 0; t < kProducers; ++t) {
     batches.push_back(stress_batch(24 + 8 * t, 0xE1 + t));
-    expected.push_back(
-        engine.submit(ReadPairSpan(batches[t]), AlignmentScope::kFull).get());
+    expected.push_back(testing::submit_future(engine, ReadPairSpan(batches[t]),
+                                              AlignmentScope::kFull)
+                           .get());
   }
-  const ReadPairSet shared = stress_batch(30, 0x5A);
-  const BatchResult shared_expected =
-      engine.submit(ReadPairSpan(shared), AlignmentScope::kFull).get();
 
+  // The producers race for the dispatcher slots, the shared worker pool
+  // and the in-flight counter.
   std::vector<BatchResult> produced(kProducers * kSubmitsPerProducer);
-  std::vector<BatchResult> sharded(kShardedRuns);
   std::vector<std::thread> threads;
   for (usize t = 0; t < kProducers; ++t) {
     threads.emplace_back([&, t] {
       for (usize r = 0; r < kSubmitsPerProducer; ++r) {
         produced[t * kSubmitsPerProducer + r] =
-            engine.submit(ReadPairSpan(batches[t]), AlignmentScope::kFull)
+            testing::submit_future(engine, ReadPairSpan(batches[t]),
+                                   AlignmentScope::kFull)
                 .get();
       }
-    });
-  }
-  // run_sharded from concurrent callers, racing the producers for the
-  // dispatcher slots and the shared worker pool.
-  for (usize s = 0; s < kShardedRuns; ++s) {
-    threads.emplace_back([&, s] {
-      sharded[s] =
-          engine.run_sharded(ReadPairSpan(shared), AlignmentScope::kFull,
-                             /*shards=*/3);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -120,13 +110,6 @@ TEST(RaceStress, EngineConcurrentSubmitAndShardedRuns) {
         ASSERT_EQ(got.results[p], expected[t].results[p])
             << "producer " << t << " run " << r << " pair " << p;
       }
-    }
-  }
-  for (usize s = 0; s < kShardedRuns; ++s) {
-    ASSERT_EQ(sharded[s].results.size(), shared_expected.results.size());
-    for (usize p = 0; p < sharded[s].results.size(); ++p) {
-      ASSERT_EQ(sharded[s].results[p], shared_expected.results[p])
-          << "sharded run " << s << " pair " << p;
     }
   }
 }
@@ -163,8 +146,8 @@ TEST(RaceStress, ServiceMultiProducerSubmitCancelDeadline) {
   options.max_batch_pairs = 8;
   options.max_batch_delay = std::chrono::milliseconds(1);
   options.max_queued_pairs = 32;  // real backpressure under 4 producers
-  options.arenas = 2;             // recycle the ring hard
-  options.engine.max_in_flight = 2;
+  // One batch in flight: a two-arena ring, recycled hard.
+  options.engine.max_in_flight = 1;
   options.engine.workers = 0;
   AlignService service(std::make_unique<SlowScoreBackend>(), options);
 

@@ -406,7 +406,8 @@ TEST(AlignService, BackendErrorFailsEveryShareOfTheBatch) {
 }
 
 // A backend that materializes only a prefix of its batch fails exactly the
-// shares that reach past the prefix; the batch's arena still recycles.
+// shares that reach past the prefix; the batch's arena still recycles (the
+// peak resident pairs would grow past the first batch otherwise).
 TEST(AlignService, UnderMaterializedBatchFailsTheSharesPastThePrefix) {
   class PrefixBackend final : public align::BatchAligner {
    public:
@@ -424,7 +425,7 @@ TEST(AlignService, UnderMaterializedBatchFailsTheSharesPastThePrefix) {
     std::string name() const override { return "prefix"; }
   };
   ServiceOptions options = manual_flush_options();
-  options.arenas = 1;  // the next batch can only reuse this batch's arena
+  options.engine.max_in_flight = 1;  // a two-arena ring
   AlignService service(std::make_unique<PrefixBackend>(), options);
 
   RequestHandle inside = service.submit_wait(n_pairs(2, 5));  // results 0-1
@@ -507,8 +508,8 @@ TEST(AlignService, ArenaRecyclingStressUnderCheckedViews) {
   options.max_batch_pairs = 16;
   options.max_batch_delay = std::chrono::milliseconds(0);
   options.max_queued_pairs = 48;
-  options.arenas = 2;  // recycle hard: only two arenas for the whole run
-  options.engine.max_in_flight = 2;
+  // One batch in flight: only two arenas for the whole run, recycled hard.
+  options.engine.max_in_flight = 1;
   options.engine.workers = 2;
   AlignService service(std::make_unique<ScoreBackend>(), options);
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <exception>
 #include <functional>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "align/batch.hpp"
+#include "align/batch_engine.hpp"
 #include "align/penalties.hpp"
 #include "common/rng.hpp"
 #include "pim/host.hpp"
@@ -46,6 +50,24 @@ inline std::vector<std::pair<std::string, align::BatchOptions>> pim_variants(
   return {{"pim", base},
           {"pim --packed", packed},
           {"pim --pipeline", pipelined}};
+}
+
+// One BatchEngine::submit as a future: get() returns the result or
+// rethrows the batch's exception. `batch` must outlive the resolution.
+inline std::future<align::BatchResult> submit_future(
+    align::BatchEngine& engine, seq::ReadPairSpan batch,
+    align::AlignmentScope scope) {
+  auto promise = std::make_shared<std::promise<align::BatchResult>>();
+  std::future<align::BatchResult> future = promise->get_future();
+  engine.submit(batch, scope,
+                [promise](align::BatchResult result, std::exception_ptr error) {
+                  if (error) {
+                    promise->set_exception(std::move(error));
+                  } else {
+                    promise->set_value(std::move(result));
+                  }
+                });
+  return future;
 }
 
 // Backend whose run() blocks until open() for every batch `holds` selects

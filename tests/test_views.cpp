@@ -290,7 +290,8 @@ TEST(CalibrationCache, ConcurrentEngineSubmissionsProbeExactlyOnce) {
     threads.emplace_back([&, t] {
       for (usize r = 0; r < kRunsPerThread; ++r) {
         results[t * kRunsPerThread + r] =
-            engine.submit(seq::ReadPairSpan(batch), AlignmentScope::kFull)
+            testing::submit_future(engine, seq::ReadPairSpan(batch),
+                                   AlignmentScope::kFull)
                 .get();
       }
     });
