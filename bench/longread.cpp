@@ -7,7 +7,10 @@
 //   - the peak-memory ratio CI gates (>= 10x at 100k bases),
 //   - CPU kUltralow throughput,
 //   - modeled throughput of the tiled PIM path (host-planned segments
-//     stitched back; see pim/tiling.hpp), and
+//     stitched back; see pim/tiling.hpp),
+//   - whether that tiled result equals a kUltralow alignment at the
+//     default base budget, score and CIGAR (tiled_matches_ultralow: 1 or
+//     0; CI pins it to 1), and
 //   - the measured host time of planning those segments on a pool of
 //     hardware_concurrency() workers (tile_plan_seconds; ungated).
 //
@@ -175,10 +178,11 @@ int main(int argc, char** argv) {
 
   const align::Penalties penalties = align::Penalties::defaults();
   std::cout << "Long-read unlock (E=" << error_rate * 100 << "%)\n\n";
-  std::cout << strprintf("  %-9s %8s %14s %14s %7s %12s %14s %12s %6s\n",
-                         "length", "score", "ultra peak", "kHigh model",
-                         "ratio", "ultra", "tiled PIM", "tile plan", "segs");
-  std::cout << "  " << std::string(105, '-') << "\n";
+  std::cout << strprintf(
+      "  %-9s %8s %14s %14s %7s %12s %14s %12s %6s %7s\n", "length", "score",
+      "ultra peak", "kHigh model", "ratio", "ultra", "tiled PIM", "tile plan",
+      "segs", "=ultra");
+  std::cout << "  " << std::string(113, '-') << "\n";
   ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
 
   BenchReport report("longread");
@@ -242,6 +246,16 @@ int main(int argc, char** argv) {
     const double pim_seconds = tiled.timings.total_seconds();
     const double pim_bases_per_s = static_cast<double>(bases) / pim_seconds;
 
+    // The planner cuts the kUltralow path at the default base budget, so
+    // the tiled result must equal that alignment exactly.
+    wfa::WfaAligner::Options default_options;
+    default_options.penalties = penalties;
+    default_options.memory_mode = wfa::WfaAligner::MemoryMode::kUltralow;
+    wfa::WfaAligner default_ultra(default_options);
+    const align::AlignmentResult reference = default_ultra.align(
+        pair.pattern, pair.text, align::AlignmentScope::kFull);
+    const bool matches_ultralow = tiled.results.at(0) == reference;
+
     report.add_metric(strprintf("score_len%zu", length),
                       static_cast<double>(result.score));
     report.add_metric(strprintf("ultralow_peak_bytes_len%zu", length),
@@ -258,22 +272,24 @@ int main(int argc, char** argv) {
                       pim_bases_per_s, "bases/s");
     report.add_metric(strprintf("tile_segments_len%zu", length),
                       static_cast<double>(tiled.timings.tile_segments));
+    report.add_metric(strprintf("tiled_matches_ultralow_len%zu", length),
+                      matches_ultralow ? 1.0 : 0.0);
     report.add_metric(strprintf("tile_plan_seconds_len%zu", length),
                       tiled.timings.tile_plan_seconds, "s");
 
     std::cout << strprintf(
-        "  %-9zu %8lld %14s %14s %6.1fx %12s %14s %12s %6zu\n", length,
+        "  %-9zu %8lld %14s %14s %6.1fx %12s %14s %12s %6zu %7s\n", length,
         static_cast<long long>(result.score),
         with_commas(ultra_peak).c_str(), with_commas(high_model).c_str(),
         ratio, format_seconds(ultra_seconds).c_str(),
         with_commas(static_cast<u64>(pim_bases_per_s)).c_str(),
         format_seconds(tiled.timings.tile_plan_seconds).c_str(),
-        tiled.timings.tile_segments);
+        tiled.timings.tile_segments, matches_ultralow ? "yes" : "NO");
   }
 
   std::cout << "\nkUltralow keeps peak wavefront memory O(s) (rings + a "
                "bounded recursion base)\nwhile kHigh retains O(s^2); the "
-               "tiled PIM path splits pairs at on-path breakpoints\nso "
+               "tiled PIM path cuts pairs along their kUltralow path\nso "
                "arbitrarily long reads fit per-tasklet WRAM/MRAM shares.\n";
 
   untiled_table(max_length, report);

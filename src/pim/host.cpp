@@ -457,7 +457,8 @@ PimOptions PimOptions::from(const align::BatchOptions& batch) {
 }
 
 PimBatchAligner::PimBatchAligner(PimOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      kernels_(&cpu::simd::wfa_kernels(cpu::simd::active_level())) {
   options_.system.validate();
   options_.penalties.validate();
   PIMWFA_ARG_CHECK(options_.nr_tasklets >= 1 &&
@@ -548,20 +549,15 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
   const usize simulated = options_.simulate_dpus == 0
                               ? logical
                               : std::min(options_.simulate_dpus, logical);
-  std::unique_ptr<upmem::PimSystem> owned = take_system(simulated);
-  upmem::PimSystem& system = *owned;
-  // Every successful return hands the system back; a throw drops it.
+  Workspace workspace = take_workspace(simulated);
+  upmem::PimSystem& system = *workspace.system;
+  // Every successful return hands the workspace back; a throw drops it.
   const auto finish = [&](PimBatchResult out) {
-    give_back(std::move(owned));
+    give_back(std::move(workspace));
     return out;
   };
 
-  // The kernels the cpu-simd backend dispatches to, resolved once per
-  // call: the tiling planner expands its subproblems with them and the DPU
-  // kernels scan extension matches with their match_run.
-  const wfa::WfaKernels& kernels =
-      cpu::simd::wfa_kernels(cpu::simd::active_level());
-  BatchRun run{options_, batch, system, nullptr, kernels.match_run};
+  BatchRun run{options_, batch, system, nullptr, kernels_->match_run};
   run.full = scope == align::AlignmentScope::kFull;
   run.logical = logical;
   run.simulated = simulated;
@@ -585,9 +581,9 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
   // --- long-pair tiling -------------------------------------------------
   // A pair whose sequences outgrow a tasklet's WRAM share, or whose
   // retained wavefronts outgrow the per-tasklet MRAM arena, cannot run as
-  // one record. Screen for such pairs and split them into breakpoint-
-  // delimited segments (pim/tiling.hpp). Metadata-in-WRAM is exempt: its
-  // arenas are far too small for pairs that would ever need tiling.
+  // one record. Screen for such pairs and cut their host kUltralow paths
+  // into segments (pim/tiling.hpp). Metadata-in-WRAM is exempt: its arenas
+  // are far too small for pairs that would ever need tiling.
   if (options_.policy == MetadataPolicy::kMram && batch.size() > 0) {
     usize seg_bases = 0;
     u64 budget = 0;
@@ -616,21 +612,25 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
           simulated == logical,
           "long-pair tiling requires full simulation (simulate_dpus = 0)");
 
-      // Plan the segments, then re-probe with the segment batch's real
-      // geometry: extra records shrink the per-tasklet arena, so replan
-      // under the smaller budget until the plan is self-consistent. The
-      // planner expands its subproblems on `pool`.
+      // Trace the pairs' paths, cut them, then re-probe with the segment
+      // batch's real geometry: extra records shrink the per-tasklet arena,
+      // so re-cut the same paths under the smaller budget until the plan
+      // is self-consistent. The planner runs its split steps on `pool`.
       WallTimer plan_timer;
+      if (!workspace.planner) {
+        TilingConfig config;
+        config.penalties = options_.penalties;
+        config.max_segment_bases = seg_bases;
+        config.score_cap = options_.max_score;
+        config.slots = logical * options_.nr_tasklets;
+        workspace.planner = std::make_unique<TilingPlanner>(config, *kernels_);
+      }
+      TilingPlanner& planner = *workspace.planner;
+      planner.trace(batch, oversized, pool);
       TiledBatch tiled;
       u64 plan_budget = budget;
       for (int attempt = 0;; ++attempt) {
-        TilingConfig config;
-        config.penalties = options_.penalties;
-        config.arena_budget_bytes = plan_budget;
-        config.max_segment_bases = seg_bases;
-        config.score_cap = options_.max_score;
-        const std::vector<TileSegment> planned =
-            TilingPlanner(config, kernels).plan(batch, oversized, pool);
+        const std::vector<TileSegment> planned = planner.cut(plan_budget);
         tiled.segments.clear();
         tiled.pair_ranges.clear();
         auto next = planned.begin();
@@ -674,7 +674,7 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
           span_score_cap(options_, tiled.max_pattern, tiled.max_text);
       tiled_options.pipeline = false;
       BatchRun tiled_run{tiled_options, batch, system, &tiled.segments,
-                         kernels.match_run};
+                         kernels_->match_run};
       tiled_run.full = run.full;
       tiled_run.logical = logical;
       tiled_run.simulated = simulated;
@@ -690,23 +690,22 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
   return finish(run_chunks(run, pool));
 }
 
-std::unique_ptr<upmem::PimSystem> PimBatchAligner::take_system(
-    usize simulated) {
+PimBatchAligner::Workspace PimBatchAligner::take_workspace(usize simulated) {
   {
-    MutexLock lock(idle_systems_mutex_);
-    if (!idle_systems_.empty()) {
-      std::unique_ptr<upmem::PimSystem> system =
-          std::move(idle_systems_.back());
-      idle_systems_.pop_back();
-      return system;
+    MutexLock lock(idle_mutex_);
+    if (!idle_.empty()) {
+      Workspace workspace = std::move(idle_.back());
+      idle_.pop_back();
+      return workspace;
     }
   }
-  return std::make_unique<upmem::PimSystem>(options_.system, simulated);
+  return {std::make_unique<upmem::PimSystem>(options_.system, simulated),
+          nullptr};
 }
 
-void PimBatchAligner::give_back(std::unique_ptr<upmem::PimSystem> system) {
-  MutexLock lock(idle_systems_mutex_);
-  idle_systems_.push_back(std::move(system));
+void PimBatchAligner::give_back(Workspace workspace) {
+  MutexLock lock(idle_mutex_);
+  idle_.push_back(std::move(workspace));
 }
 
 }  // namespace pimwfa::pim

@@ -34,8 +34,10 @@
 #include "pim/cost_table.hpp"
 #include "pim/layout.hpp"
 #include "pim/pipeline.hpp"
+#include "pim/tiling.hpp"
 #include "seq/view.hpp"
 #include "upmem/system.hpp"
+#include "wfa/kernels.hpp"
 
 namespace pimwfa::pim {
 
@@ -66,13 +68,13 @@ struct PimOptions {
 
   // --- long-pair tiling -------------------------------------------------
   // Split pairs that exceed a tasklet's WRAM share (sequence buffers) or
-  // per-tasklet MRAM arena (wavefront metadata) into breakpoint-delimited
-  // segments planned host-side (pim/tiling.hpp), run the segments as
-  // ordinary records, and stitch the results back into one alignment. A
-  // tiled pair keeps the untiled optimal score; its CIGAR is verified
-  // co-optimal but, where optimal paths tie, may differ from an untiled
-  // run's. When off, an oversized pair raises Error naming the pair and
-  // the shortfall.
+  // per-tasklet MRAM arena (wavefront metadata) into segments of their
+  // host kUltralow path (pim/tiling.hpp), run the segments as ordinary
+  // records, and stitch the results back into one alignment. A tiled pair
+  // gets the score and CIGAR of a `cpu` kUltralow run at the default base
+  // budget; where optimal paths tie, that CIGAR may differ from an untiled
+  // kHigh run's. When off, an oversized pair raises Error naming the pair
+  // and the shortfall.
   bool tile_long_pairs = true;
   // Segment size bound in pattern+text bases (0 = derive from the per-
   // tasklet WRAM share). Pairs at or under the bound run untiled.
@@ -155,14 +157,15 @@ class PimBatchAligner final : public align::BatchAligner {
   // Align the batch (a non-owning view; MRAM ingestion reads - and, in
   // packed mode, packs - straight from the viewed pairs, so carving a
   // sub-batch for this call never copies bases host-side). `pool`, if
-  // given, runs the levels of the long-pair tiling planner - real host
-  // work, timed by tile_plan_seconds - and parallelizes the host-side
+  // given, runs the split steps of the long-pair tiling planner - real
+  // host work, timed by tile_plan_seconds - and parallelizes the host-side
   // simulation: independent DPUs in a one-chunk run, concurrent pipeline
   // stages in pipelined mode. Neither affects results or modeled timing.
   // Safe to call concurrently on distinct batches: each call takes a
-  // PimSystem of its own from this aligner's pool of idle systems
-  // (building one when all are busy) and hands it back when it returns,
-  // so the pool holds at most as many systems as calls ever ran at once.
+  // workspace of its own (a PimSystem and, once a call has tiled, a
+  // TilingPlanner with its aligners) from this aligner's pool of idle ones
+  // (building one when all are busy) and hands it back when it returns, so
+  // the pool holds at most as many workspaces as calls ever ran at once.
   // A reused system's stale MRAM/WRAM bytes are harmless: the DPU kernel
   // and the result decoder read only bytes written earlier in the same
   // call.
@@ -192,17 +195,23 @@ class PimBatchAligner final : public align::BatchAligner {
                                                 usize d);
 
  private:
-  // An idle system, or a new one.
-  std::unique_ptr<upmem::PimSystem> take_system(usize simulated)
-      PIMWFA_EXCLUDES(idle_systems_mutex_);
-  void give_back(std::unique_ptr<upmem::PimSystem> system)
-      PIMWFA_EXCLUDES(idle_systems_mutex_);
+  // What one align_batch call uses exclusively.
+  struct Workspace {
+    std::unique_ptr<upmem::PimSystem> system;
+    std::unique_ptr<TilingPlanner> planner;  // built by the first tiled call
+  };
+  // An idle workspace, or a new one.
+  Workspace take_workspace(usize simulated) PIMWFA_EXCLUDES(idle_mutex_);
+  void give_back(Workspace workspace) PIMWFA_EXCLUDES(idle_mutex_);
 
   PimOptions options_;
-  Mutex idle_systems_mutex_;
-  // Systems of finished calls. A call that throws drops its system.
-  std::vector<std::unique_ptr<upmem::PimSystem>> idle_systems_
-      PIMWFA_GUARDED_BY(idle_systems_mutex_);
+  // The kernels the cpu-simd backend dispatches to, resolved once at
+  // construction: the tiling planner aligns with them and the DPU kernels
+  // scan extension matches with their match_run.
+  const wfa::WfaKernels* kernels_;
+  Mutex idle_mutex_;
+  // Workspaces of finished calls. A call that throws drops its workspace.
+  std::vector<Workspace> idle_ PIMWFA_GUARDED_BY(idle_mutex_);
 };
 
 }  // namespace pimwfa::pim

@@ -554,12 +554,58 @@ WfaAligner::Breakpoint WfaAligner::find_breakpoint(std::string_view pattern,
   return best;
 }
 
+WfaAligner::UltralowSplit WfaAligner::ultralow_split(std::string_view pattern,
+                                                     std::string_view text,
+                                                     const Subproblem& sub) {
+  const usize plen = sub.v1 - sub.v0;
+  const usize tlen = sub.h1 - sub.h0;
+  const Breakpoint bp =
+      find_breakpoint(pattern.substr(sub.v0, plen), text.substr(sub.h0, tlen),
+                      sub.begin, sub.end, sub.score_cap);
+  UltralowSplit split;
+  split.total = bp.total;
+  const usize v = static_cast<usize>(bp.offset - bp.k);
+  const usize h = static_cast<usize>(bp.offset);
+  const bool corner = (v == 0 && h == 0) || (v == plen && h == tlen);
+  split.base_case = corner || retained_bytes_estimate(bp.total, plen, tlen) <=
+                                  options_.ultralow_base_wavefront_bytes;
+  if (split.base_case) return split;
+
+  // The right half's own cost can exceed bp.score_reverse by the end-run's
+  // gap_open that the reverse seeding exempted (see find_breakpoint).
+  const i64 end_shift =
+      (sub.end == Component::kM) ? 0 : options_.penalties.gap_open;
+  Subproblem& left = split.halves[0];
+  Subproblem& right = split.halves[1];
+  left = right = sub;
+  left.v1 = right.v0 = sub.v0 + v;
+  left.h1 = right.h0 = sub.h0 + h;
+  left.end = right.begin = bp.comp;
+  left.score_cap = bp.score_forward;
+  right.score_cap = bp.score_reverse + end_shift;
+  return split;
+}
+
+align::AlignmentResult WfaAligner::ultralow_base_case(std::string_view pattern,
+                                                      std::string_view text,
+                                                      const Subproblem& sub,
+                                                      i64 total) {
+  align::AlignmentResult res = align_retained(
+      pattern.substr(sub.v0, sub.v1 - sub.v0),
+      text.substr(sub.h0, sub.h1 - sub.h0), align::AlignmentScope::kFull,
+      sub.begin, sub.end, total);
+  PIMWFA_CHECK(res.score == total,
+               "kUltralow base case score " << res.score
+                                            << " != bidirectional score "
+                                            << total);
+  return res;
+}
+
 i64 WfaAligner::ultralow_recurse(std::string_view pattern,
-                                 std::string_view text, Component begin,
-                                 Component end, i64 score_cap,
+                                 std::string_view text, const Subproblem& sub,
                                  seq::Cigar& out) {
-  const usize plen = pattern.size();
-  const usize tlen = text.size();
+  const usize plen = sub.v1 - sub.v0;
+  const usize tlen = sub.h1 - sub.h0;
   const i32 o = options_.penalties.gap_open;
   const i32 e = options_.penalties.gap_extend;
 
@@ -569,47 +615,28 @@ i64 WfaAligner::ultralow_recurse(std::string_view pattern,
     for (usize i = 0; i < tlen; ++i) out.push('I');
     for (usize i = 0; i < plen; ++i) out.push('D');
     if (tlen > 0) {
-      return (begin == Component::kI ? 0 : o) + static_cast<i64>(tlen) * e;
+      return (sub.begin == Component::kI ? 0 : o) + static_cast<i64>(tlen) * e;
     }
     if (plen > 0) {
-      return (begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
+      return (sub.begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
     }
     return 0;
   }
 
-  const Breakpoint bp = find_breakpoint(pattern, text, begin, end, score_cap);
-  const i32 v = bp.offset - bp.k;
-  const i32 h = bp.offset;
-  const bool corner =
-      (v == 0 && h == 0) ||
-      (v == static_cast<i32>(plen) && h == static_cast<i32>(tlen));
-  if (corner || retained_bytes_estimate(bp.total, plen, tlen) <=
-                    options_.ultralow_base_wavefront_bytes) {
-    align::AlignmentResult res = align_retained(
-        pattern, text, align::AlignmentScope::kFull, begin, end, bp.total);
-    PIMWFA_CHECK(res.score == bp.total,
-                 "kUltralow base case score " << res.score
-                                              << " != bidirectional score "
-                                              << bp.total);
+  const UltralowSplit split = ultralow_split(pattern, text, sub);
+  if (split.base_case) {
+    const align::AlignmentResult res =
+        ultralow_base_case(pattern, text, sub, split.total);
     for (char op : res.cigar.ops()) out.push(op);
-    return bp.total;
+    return split.total;
   }
-
-  // The right half's own cost can exceed bp.score_reverse by the end-run's
-  // gap_open that the reverse seeding exempted (see find_breakpoint).
-  const i64 end_shift = (end == Component::kM) ? 0 : o;
-  const i64 left = ultralow_recurse(pattern.substr(0, static_cast<usize>(v)),
-                                    text.substr(0, static_cast<usize>(h)),
-                                    begin, bp.comp, bp.score_forward, out);
-  const i64 right = ultralow_recurse(pattern.substr(static_cast<usize>(v)),
-                                     text.substr(static_cast<usize>(h)),
-                                     bp.comp, end,
-                                     bp.score_reverse + end_shift, out);
-  PIMWFA_CHECK(left + right == bp.total,
+  const i64 left = ultralow_recurse(pattern, text, split.halves[0], out);
+  const i64 right = ultralow_recurse(pattern, text, split.halves[1], out);
+  PIMWFA_CHECK(left + right == split.total,
                "kUltralow halves cost " << left << "+" << right
                                         << " != bidirectional score "
-                                        << bp.total);
-  return bp.total;
+                                        << split.total);
+  return split.total;
 }
 
 align::AlignmentResult WfaAligner::align_retained(std::string_view pattern,
@@ -710,8 +737,8 @@ align::AlignmentResult WfaAligner::align_span(std::string_view pattern,
       result.score = find_breakpoint(pattern, text, begin, end, score_cap).total;
     } else {
       seq::Cigar cigar;
-      const i64 total =
-          ultralow_recurse(pattern, text, begin, end, score_cap, cigar);
+      const i64 total = ultralow_recurse(
+          pattern, text, {0, plen, 0, tlen, begin, end, score_cap}, cigar);
       // The stitched CIGAR is verified before it leaves: it must consume
       // exactly the inputs and cost exactly the bidirectional score.
       PIMWFA_CHECK(

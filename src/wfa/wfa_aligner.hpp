@@ -68,6 +68,28 @@ class WfaAligner {
     Component comp = Component::kM;  // component the meet lies in
   };
 
+  // One subproblem of the kUltralow recursion: pattern [v0, v1) against
+  // text [h0, h1) of a pair, entered in `begin`, left in `end`, and
+  // bounded by `score_cap`.
+  struct Subproblem {
+    usize v0 = 0, v1 = 0;
+    usize h0 = 0, h1 = 0;
+    Component begin = Component::kM;
+    Component end = Component::kM;
+    i64 score_cap = 0;
+  };
+
+  // The split step of the kUltralow recursion over a subproblem with a
+  // non-empty pattern and text: its optimal score and either the base-case
+  // verdict (align it whole with ultralow_base_case) or the two halves it
+  // splits into at the bidirectional breakpoint, in the pair's
+  // coordinates, with their seam components and score caps.
+  struct UltralowSplit {
+    i64 total = 0;
+    bool base_case = false;
+    Subproblem halves[2];
+  };
+
   struct Options {
     align::Penalties penalties = align::Penalties::defaults();
     // Hard cap on the alignment score; 0 means "auto" (the worst-case
@@ -111,6 +133,19 @@ class WfaAligner {
   // cap is exceeded before a provably optimal meet is found.
   Breakpoint find_breakpoint(std::string_view pattern, std::string_view text,
                              Component begin, Component end, i64 score_cap);
+
+  // The kUltralow recursion, one step at a time: the recursion of
+  // align_span in kUltralow mode, full scope, is exactly ultralow_split on
+  // the whole pair, ultralow_base_case on every base case, a plain gap run
+  // for every half with an empty side, and ultralow_split again on every
+  // other half, concatenated left to right. `pattern` and `text` are the
+  // whole pair; `sub` selects the subproblem. The base case is a retained
+  // pass whose score must equal `total`, the split step's score.
+  UltralowSplit ultralow_split(std::string_view pattern, std::string_view text,
+                               const Subproblem& sub);
+  align::AlignmentResult ultralow_base_case(std::string_view pattern,
+                                            std::string_view text,
+                                            const Subproblem& sub, i64 total);
 
   const align::Penalties& penalties() const noexcept {
     return options_.penalties;
@@ -159,11 +194,11 @@ class WfaAligner {
   // Ring-buffered score-only pass (MemoryMode::kLow).
   i64 score_low_memory(std::string_view pattern, std::string_view text,
                        i64 score_cap, Component begin, Component end);
-  // Recursive BiWFA alignment (MemoryMode::kUltralow, full scope); appends
-  // this subproblem's CIGAR to `out` and returns its optimal score.
+  // Recursive BiWFA alignment (MemoryMode::kUltralow, full scope) of
+  // subproblem `sub` of the pair; appends its CIGAR to `out` and returns
+  // its optimal score.
   i64 ultralow_recurse(std::string_view pattern, std::string_view text,
-                       Component begin, Component end, i64 score_cap,
-                       seq::Cigar& out);
+                       const Subproblem& sub, seq::Cigar& out);
   // kHigh pass over one (sub)problem with boundary components; used both
   // by align()/align_span() directly and as the recursion base case.
   align::AlignmentResult align_retained(std::string_view pattern,

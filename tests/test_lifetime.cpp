@@ -9,10 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -62,40 +60,6 @@ class ScanBackend final : public align::BatchAligner {
     return out;
   }
   std::string name() const override { return "scan"; }
-};
-
-// Backend test double that parks every run() until release(): lets a test
-// pin a task in the dispatcher while it mutates or destroys the storage a
-// queued span borrows, turning an async race into a deterministic order.
-class GateBackend final : public align::BatchAligner {
- public:
-  BatchResult run(seq::ReadPairSpan batch, align::AlignmentScope,
-                  ThreadPool*) override {
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return released_; });
-    }
-    BatchResult out;
-    out.backend = name();
-    out.results.resize(batch.size());
-    for (usize i = 0; i < batch.size(); ++i) {
-      out.results[i].score = static_cast<i64>(batch.pattern(i).size());
-    }
-    out.timings.pairs = batch.size();
-    return out;
-  }
-  std::string name() const override { return "gate"; }
-
-  void release() {
-    std::lock_guard lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool released_ = false;
 };
 
 // --- mode-independent contracts ------------------------------------------
@@ -302,8 +266,8 @@ TEST(CheckedEngine, DanglingSpanFailsAtDispatchWithCountersUntouched) {
 // LifetimeError - the backend never sees the stale span.
 template <typename Tamper>
 void expect_queued_span_fails(Tamper&& tamper) {
-  auto gate = std::make_unique<GateBackend>();
-  GateBackend* control = gate.get();
+  auto gate = std::make_unique<testing::GateBackend>();
+  testing::GateBackend* control = gate.get();
   align::BatchEngine engine(std::move(gate), /*max_in_flight=*/1,
                             /*workers=*/0);
 
@@ -315,7 +279,7 @@ void expect_queued_span_fails(Tamper&& tamper) {
       submit_future(engine, ReadPairSpan(*set), AlignmentScope::kScoreOnly);
 
   tamper(set);  // the borrow goes stale while the task is queued
-  control->release();
+  control->open();
 
   EXPECT_EQ(blocker.get().results.size(), 4u);  // the blocker is healthy
   EXPECT_THROW(queued.get(), LifetimeError);

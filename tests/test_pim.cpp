@@ -675,8 +675,11 @@ TEST(PimWork, TiledPairChargesArePinned) {
   const PimBatchResult result =
       aligner.align_batch(batch, AlignmentScope::kFull);
   EXPECT_EQ(result.timings.tiled_pairs, 1u);
-  EXPECT_EQ(result.timings.tile_segments, 5u);
-  constexpr Work kWant = {121273, 670, 40264, 79092, 444010, 714763};
+  // The 5 kb pair's kUltralow path cut into 8 segments (the fewest of at
+  // most 3712 bases, 3, rounded up to 2 DPUs x 4 tasklets), plus the
+  // short pair.
+  EXPECT_EQ(result.timings.tile_segments, 9u);
+  constexpr Work kWant = {121499, 692, 39768, 80780, 450991, 696363};
   expect_work(result.timings, "tiled", kWant);
 }
 

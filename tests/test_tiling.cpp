@@ -8,6 +8,7 @@
 #include "align/hybrid.hpp"
 #include "align/verify.hpp"
 #include "common/thread_pool.hpp"
+#include "cpu/cpu_batch.hpp"
 #include "cpu/simd/simd.hpp"
 #include "pim/host.hpp"
 #include "pim/layout.hpp"
@@ -79,12 +80,21 @@ void expect_valid_plan(const std::vector<TileSegment>& segments,
                 .score);
 }
 
+// The segments of `pairs` of `batch`: trace(), then cut() under `budget`.
+std::vector<TileSegment> plan(TilingPlanner planner, u64 budget,
+                              const seq::ReadPairSet& batch,
+                              const std::vector<usize>& pairs,
+                              ThreadPool* pool = nullptr) {
+  planner.trace(batch, pairs, pool);
+  return planner.cut(budget);
+}
+
 // The serial planner's segments for one pair.
-std::vector<TileSegment> plan_one(const TilingConfig& config,
+std::vector<TileSegment> plan_one(const TilingConfig& config, u64 budget,
                                   const seq::ReadPair& pair) {
   seq::ReadPairSet batch;
   batch.add(pair);
-  return TilingPlanner(config).plan(batch, {0});
+  return plan(TilingPlanner(config), budget, batch, {0});
 }
 
 // Plans `pairs` of `batch` with a null pool and pools of 1, 2 and 4
@@ -92,10 +102,10 @@ std::vector<TileSegment> plan_one(const TilingConfig& config,
 // the reference - a null pool with scalar kernels - field for field;
 // returns the reference.
 std::vector<TileSegment> expect_same_plan_everywhere(
-    const TilingConfig& config, const seq::ReadPairSet& batch,
+    const TilingConfig& config, u64 budget, const seq::ReadPairSet& batch,
     const std::vector<usize>& pairs) {
   const std::vector<TileSegment> reference =
-      TilingPlanner(config).plan(batch, pairs);
+      plan(TilingPlanner(config), budget, batch, pairs);
   ThreadPool one(1), two(2), four(4);
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
                            &four}) {
@@ -104,7 +114,8 @@ std::vector<TileSegment> expect_same_plan_everywhere(
          level <= static_cast<int>(cpu::simd::runtime_level()); ++level) {
       const auto simd = static_cast<cpu::simd::SimdLevel>(level);
       TilingPlanner planner(config, cpu::simd::wfa_kernels(simd));
-      EXPECT_EQ(planner.plan(batch, pairs, pool), reference)
+      planner.trace(batch, pairs, pool);
+      EXPECT_EQ(planner.cut(budget), reference)
           << "workers=" << workers
           << " kernels=" << cpu::simd::level_name(simd);
     }
@@ -112,33 +123,63 @@ std::vector<TileSegment> expect_same_plan_everywhere(
   return reference;
 }
 
-// Each input below exercises a cut rule of the planner (see tiling.cpp);
+// The ends (pattern, text) of the closed nodes of a pair's kUltralow
+// recursion at the default base budget, left to right: the boundaries no
+// segment may cross.
+std::vector<std::pair<usize, usize>> node_ends(const seq::ReadPair& pair,
+                                               const Penalties& penalties) {
+  wfa::WfaAligner::Options options;
+  options.penalties = penalties;
+  options.memory_mode = wfa::WfaAligner::MemoryMode::kUltralow;
+  wfa::WfaAligner aligner(options);
+  std::vector<std::pair<usize, usize>> ends;
+  const auto recurse = [&](const auto& self,
+                           const wfa::WfaAligner::Subproblem& sub) -> void {
+    if (sub.v0 != sub.v1 && sub.h0 != sub.h1) {
+      const wfa::WfaAligner::UltralowSplit split =
+          aligner.ultralow_split(pair.pattern, pair.text, sub);
+      if (!split.base_case) {
+        for (const auto& half : split.halves) self(self, half);
+        return;
+      }
+    }
+    ends.emplace_back(sub.v1, sub.h1);
+  };
+  wfa::WfaAligner::Subproblem root;
+  root.v1 = pair.pattern.size();
+  root.h1 = pair.text.size();
+  root.score_cap = 1 << 20;
+  recurse(recurse, root);
+  return ends;
+}
+
+// Each input below exercises a cut rule of the planner (see tiling.hpp);
 // every plan must be the same whatever the pool width and kernel level.
 
 TEST(TilingPlanner, SegmentsCoverPairAndScoresAdd) {
-  // Interior meets, plus corner meets resolved through align_span.
+  // One base case, cut evenly along its path by the size bound.
   Rng rng(101);
   seq::ReadPairSet batch;
   batch.add(pimwfa::testing::random_pair(rng, 1000, 25));
   TilingConfig config;
-  config.arena_budget_bytes = 1u << 20;
+  const u64 budget = 1u << 20;
   config.max_segment_bases = 256;
   const std::vector<TileSegment> segments =
-      expect_same_plan_everywhere(config, batch, {0});
+      expect_same_plan_everywhere(config, budget, batch, {0});
   EXPECT_GT(segments.size(), 4u);
   expect_valid_plan(segments, batch[0], 256, Penalties::defaults());
 }
 
-TEST(TilingPlanner, PerfectMatchSplitsAtDiagonalMidpoints) {
+TEST(TilingPlanner, PerfectMatchCutsIntoScoreZeroSegments) {
   Rng rng(102);
   const std::string sequence = seq::random_sequence(rng, 800);
   seq::ReadPairSet batch;
   batch.add({sequence, sequence});
   TilingConfig config;
-  config.arena_budget_bytes = 1u << 20;
+  const u64 budget = 1u << 20;
   config.max_segment_bases = 128;
   const std::vector<TileSegment> segments =
-      expect_same_plan_everywhere(config, batch, {0});
+      expect_same_plan_everywhere(config, budget, batch, {0});
   expect_valid_plan(segments, batch[0], 128, Penalties::defaults());
   for (const TileSegment& seg : segments) EXPECT_EQ(seg.span_score, 0);
 }
@@ -152,30 +193,31 @@ TEST(TilingPlanner, ArenaBudgetAloneForcesSplits) {
     TilingConfig config;
     config.penalties = penalties;
     // Generous size bound; the (tiny) arena budget drives the splits.
-    config.arena_budget_bytes = 16u << 10;
+    const u64 budget = 16u << 10;
     config.max_segment_bases = 1u << 20;
     const std::vector<TileSegment> segments =
-        expect_same_plan_everywhere(config, batch, {0});
+        expect_same_plan_everywhere(config, budget, batch, {0});
     EXPECT_GT(segments.size(), 1u);
     expect_valid_plan(segments, batch[0], 1u << 20, penalties);
   }
 }
 
 TEST(TilingPlanner, CutsInsideGapRunsGiveInsertionAndDeletionSeams) {
-  // An 80-base deletion in the first half and an 80-base insertion in the
-  // second: cuts land inside both runs, giving kD and kI seams.
+  // A 300-base deletion in the first half and a 300-base insertion in the
+  // second, each longer than a segment: cuts must land inside both runs,
+  // giving kD and kI seams.
   Rng rng(1);
   seq::ReadPair pair;
-  pair.pattern = seq::random_sequence(rng, 1200);
-  pair.text = pair.pattern.substr(0, 300) + pair.pattern.substr(380, 520) +
-              seq::random_sequence(rng, 80) + pair.pattern.substr(900);
+  pair.pattern = seq::random_sequence(rng, 1600);
+  pair.text = pair.pattern.substr(0, 300) + pair.pattern.substr(600, 500) +
+              seq::random_sequence(rng, 300) + pair.pattern.substr(1100);
   seq::ReadPairSet batch;
   batch.add(pair);
   TilingConfig config;
-  config.arena_budget_bytes = 1u << 20;
+  const u64 budget = 1u << 20;
   config.max_segment_bases = 128;
   const std::vector<TileSegment> segments =
-      expect_same_plan_everywhere(config, batch, {0});
+      expect_same_plan_everywhere(config, budget, batch, {0});
   expect_valid_plan(segments, pair, 128, Penalties::defaults());
   usize insertion_seams = 0;
   usize deletion_seams = 0;
@@ -187,6 +229,97 @@ TEST(TilingPlanner, CutsInsideGapRunsGiveInsertionAndDeletionSeams) {
   EXPECT_GE(deletion_seams, 1u);
 }
 
+TEST(TilingPlanner, NoSegmentCrossesABaseCaseBoundary) {
+  // Scores this high split the kUltralow recursion (4 MiB base budget)
+  // into several base cases; every base case boundary must be a cut, and
+  // the cuts inside a base case follow the size bound only.
+  Rng rng(105);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 2500, 300));
+  TilingConfig config;
+  const u64 budget = 64u << 20;
+  config.max_segment_bases = 1000;
+  config.slots = 4;
+  const std::vector<TileSegment> segments =
+      expect_same_plan_everywhere(config, budget, batch, {0});
+  expect_valid_plan(segments, batch[0], 1000, Penalties::defaults());
+  const std::vector<std::pair<usize, usize>> ends =
+      node_ends(batch[0], Penalties::defaults());
+  ASSERT_GT(ends.size(), 2u);
+  for (const auto& [v, h] : ends) {
+    usize at_end = 0;
+    for (const TileSegment& seg : segments) {
+      at_end += seg.v1 == v && seg.h1 == h ? 1 : 0;
+    }
+    EXPECT_EQ(at_end, 1u) << "node ending at " << v << "x" << h;
+  }
+}
+
+TEST(TilingPlanner, FittingPathStaysOneSegment) {
+  // The pair fits both budgets whole, so no slot count splits it.
+  Rng rng(106);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 700, 20));
+  TilingConfig config;
+  const u64 budget = 1u << 20;
+  config.max_segment_bases = 2000;
+  config.slots = 8;
+  const std::vector<TileSegment> segments =
+      expect_same_plan_everywhere(config, budget, batch, {0});
+  ASSERT_EQ(segments.size(), 1u);
+  expect_valid_plan(segments, batch[0], 2000, Penalties::defaults());
+}
+
+TEST(TilingPlanner, SegmentCountIsAMultipleOfTheSlots) {
+  // One base case whose fewest fitting segments (about 10 of at most 200
+  // bases) is no multiple of 3 or 8: the count rounds up to one, and the
+  // cuts spread evenly, so no segment is much shorter than the others.
+  Rng rng(107);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 1000, 20));
+  for (const usize slots : {3u, 8u}) {
+    TilingConfig config;
+    const u64 budget = 1u << 20;
+    config.max_segment_bases = 200;
+    config.slots = slots;
+    const std::vector<TileSegment> segments =
+        expect_same_plan_everywhere(config, budget, batch, {0});
+    EXPECT_EQ(segments.size() % slots, 0u) << "slots=" << slots;
+    EXPECT_GE(segments.size(), 10u) << "slots=" << slots;
+    expect_valid_plan(segments, batch[0], 200, Penalties::defaults());
+    const usize mean =
+        (batch[0].pattern.size() + batch[0].text.size()) / segments.size();
+    for (const TileSegment& seg : segments) {
+      EXPECT_LE(seg.pattern_length() + seg.text_length(), mean + 2)
+          << "slots=" << slots;
+      EXPECT_GE(seg.pattern_length() + seg.text_length() + 2, mean)
+          << "slots=" << slots;
+    }
+  }
+}
+
+TEST(TilingPlanner, CuttingAgainMatchesAFreshPlan) {
+  // One trace, cut under shrinking arena budgets, as align_batch replans.
+  Rng rng(108);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 900, 60));
+  batch.add(pimwfa::testing::random_pair(rng, 1200, 30));
+  TilingConfig config;
+  config.max_segment_bases = 1u << 20;
+  config.slots = 2;
+  TilingPlanner traced(config);
+  traced.trace(batch, {0, 1});
+  usize previous = 0;
+  for (const u64 budget : {1u << 20, 64u << 10, 16u << 10}) {
+    const std::vector<TileSegment> segments = traced.cut(budget);
+    EXPECT_EQ(segments, plan(TilingPlanner(config), budget, batch, {0, 1}))
+        << "budget=" << budget;
+    EXPECT_GE(segments.size(), previous) << "budget=" << budget;
+    previous = segments.size();
+  }
+  EXPECT_GT(previous, 2u);
+}
+
 TEST(TilingPlanner, MultiPairPlanIsPairMajorAndMatchesPerPairPlans) {
   // Pairs 1 and 3 are planned; 0 and 2 are not asked for.
   Rng rng(104);
@@ -196,13 +329,13 @@ TEST(TilingPlanner, MultiPairPlanIsPairMajorAndMatchesPerPairPlans) {
   batch.add(pimwfa::testing::random_pair(rng, 100, 2));
   batch.add(pimwfa::testing::random_pair(rng, 700, 30));
   TilingConfig config;
-  config.arena_budget_bytes = 1u << 20;
+  const u64 budget = 1u << 20;
   config.max_segment_bases = 200;
   const std::vector<TileSegment> segments =
-      expect_same_plan_everywhere(config, batch, {1, 3});
-  std::vector<TileSegment> per_pair = plan_one(config, batch[1]);
+      expect_same_plan_everywhere(config, budget, batch, {1, 3});
+  std::vector<TileSegment> per_pair = plan_one(config, budget, batch[1]);
   for (TileSegment& seg : per_pair) seg.pair = 1;
-  std::vector<TileSegment> last = plan_one(config, batch[3]);
+  std::vector<TileSegment> last = plan_one(config, budget, batch[3]);
   for (TileSegment& seg : last) seg.pair = 3;
   per_pair.insert(per_pair.end(), last.begin(), last.end());
   EXPECT_EQ(segments, per_pair);
@@ -233,6 +366,59 @@ TEST(PimTiling, TiledFullAlignmentMatchesHost) {
   EXPECT_EQ(aligner.align_batch(short_pairs, AlignmentScope::kFull)
                 .timings.tile_plan_seconds,
             0.0);
+}
+
+TEST(PimTiling, TiledCigarsEqualCpuUltralow) {
+  // Tiled results equal the cpu backend in kUltralow at the default base
+  // budget, score and CIGAR text, at every segment bound and pool width:
+  // the planner cuts that very alignment. Pairs of 0.5-5 kb at E=1-15%;
+  // cutting at fresh breakpoints instead pins a different co-optimal
+  // CIGAR for about one pair in five.
+  seq::ReadPairSet batch;
+  const std::pair<double, std::vector<usize>> cells[] = {
+      {0.01, {500, 1000, 2000, 5000}},
+      {0.05, {500, 1000, 2000, 5000}},
+      {0.10, {500, 1000, 2000}},
+      {0.15, {500, 1000}},
+  };
+  for (const auto& [rate, lengths] : cells) {
+    for (const usize length : lengths) {
+      seq::GeneratorConfig gen;
+      gen.pairs = 2;
+      gen.read_length = length;
+      gen.error_rate = rate;
+      gen.seed = 0x71DE + length + static_cast<u64>(rate * 100);
+      const seq::ReadPairSet cell = seq::generate_dataset(gen);
+      for (usize i = 0; i < cell.size(); ++i) batch.add(cell[i]);
+    }
+  }
+  cpu::CpuBatchOptions reference_options;
+  reference_options.memory_mode = align::MemoryMode::kUltralow;
+  const std::vector<align::AlignmentResult> expected =
+      cpu::CpuBatchAligner(reference_options)
+          .align_batch(batch, AlignmentScope::kFull)
+          .results;
+  ThreadPool one(1), two(2), four(4);
+  for (const usize bound : {64u, 200u, 1000u}) {
+    PimOptions options = tiny_options(2, 4);
+    options.tile_max_segment_bases = bound;
+    PimBatchAligner aligner(options);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                             &four}) {
+      const usize workers = pool == nullptr ? 0 : pool->size();
+      const PimBatchResult result =
+          aligner.align_batch(batch, AlignmentScope::kFull, pool);
+      ASSERT_EQ(result.results.size(), batch.size());
+      // At 1000 bases some 500-base pairs fit whole and run untiled.
+      EXPECT_GT(result.timings.tiled_pairs, batch.size() / 2);
+      for (usize i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(result.results[i].score, expected[i].score)
+            << "bound=" << bound << " workers=" << workers << " pair " << i;
+        EXPECT_EQ(result.results[i].cigar.ops(), expected[i].cigar.ops())
+            << "bound=" << bound << " workers=" << workers << " pair " << i;
+      }
+    }
+  }
 }
 
 TEST(PimTiling, TiledScoreOnlyMatchesHost) {
