@@ -8,11 +8,13 @@
 // mapper's lossless-filter guarantee); with --json it emits the
 // BENCH_mapper.json that the perf-smoke CI job gates on, so the
 // hierarchy can't silently degrade to brute force (rejection rate) or
-// stop finding true loci (recall).
+// stop finding true loci (recall), and the k-mer index can't grow back
+// (its exact bytes and the process's peak RSS).
 //
 //   ./bench_mapper
 //   ./bench_mapper --genome 250000 --reads 3000 --backend=cpu-simd
 //   ./bench_mapper --json BENCH_mapper.json
+#include <algorithm>
 #include <iostream>
 
 #include "common/bench_report.hpp"
@@ -160,6 +162,15 @@ int main(int argc, char** argv) {
   std::cout << "  identity: filtered best hits "
             << (identical ? "bit-identical to" : "DIVERGE from")
             << " brute force\n";
+  const map::KmerIndex& index = mapper.index();
+  std::cout << strprintf(
+      "  index   : %s bytes for %s positions (%.1f per position), "
+      "peak RSS %.1f MiB\n",
+      with_commas(index.memory_bytes()).c_str(),
+      with_commas(index.indexed_positions()).c_str(),
+      static_cast<double>(index.memory_bytes()) /
+          static_cast<double>(std::max<usize>(index.indexed_positions(), 1)),
+      peak_rss_mb());
 
   BenchReport report("mapper");
   report.set_param("genome", static_cast<i64>(ref_config.length));
@@ -181,6 +192,9 @@ int main(int argc, char** argv) {
                     "reads/s");
   report.add_metric("brute_reads_per_second", reads_f / brute_seconds,
                     "reads/s");
+  report.add_metric("index_bytes",
+                    static_cast<double>(index.memory_bytes()), "bytes");
+  report.add_metric("peak_rss_mb", peak_rss_mb(), "MiB");
   if (!json.empty()) {
     report.write(json);
     std::cout << "\nBenchReport written to " << json << "\n";

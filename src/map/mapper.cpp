@@ -32,6 +32,16 @@ const std::string& checked_reference(const std::string& reference,
   return reference;
 }
 
+bool is_lower(char c) { return c >= 'a' && c <= 'z'; }
+
+// ASCII upper case; every other byte is kept.
+std::string upper_cased(std::string sequence) {
+  for (char& c : sequence) {
+    if (is_lower(c)) c = static_cast<char>(c - 'a' + 'A');
+  }
+  return sequence;
+}
+
 }  // namespace
 
 void MapperOptions::validate() const {
@@ -49,7 +59,7 @@ void MapperOptions::validate() const {
 }
 
 ReadMapper::ReadMapper(std::string reference, MapperOptions options)
-    : reference_(std::move(reference)),
+    : reference_(upper_cased(std::move(reference))),
       options_(std::move(options)),
       index_(checked_reference(reference_, options_), options_.k) {}
 
@@ -92,6 +102,21 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   // Reverse-complemented reads, materialized once so candidate patterns
   // can be zero-copy views for the filter stage.
   std::vector<std::string> rc(options_.both_strands ? reads.size() : 0);
+  // Forward strands are compared upper case, as reverse_complement emits
+  // them: only a read holding a lower-case letter is copied.
+  std::vector<std::string> upper(reads.size());
+  std::vector<const std::string*> forward(reads.size());
+  for (usize r = 0; r < reads.size(); ++r) {
+    forward[r] = &reads[r];
+    if (std::any_of(reads[r].begin(), reads[r].end(), is_lower)) {
+      upper[r] = upper_cased(reads[r]);
+      forward[r] = &upper[r];
+    }
+  }
+  const auto oriented_read = [&](usize read,
+                                 bool reverse) -> const std::string& {
+    return reverse ? rc[read] : *forward[read];
+  };
 
   // --- Seed: vote candidate starts per (read, strand) ---------------------
   std::vector<Candidate> candidates;
@@ -101,7 +126,7 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
     const usize strands = options_.both_strands ? 2 : 1;
     for (usize strand = 0; strand < strands; ++strand) {
       if (strand == 1) rc[r] = seq::reverse_complement(reads[r]);
-      const std::string& oriented = strand == 0 ? reads[r] : rc[r];
+      const std::string& oriented = oriented_read(r, strand == 1);
       const usize length = oriented.size();
       if (length < k) continue;
 
@@ -148,7 +173,7 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   const std::string_view genome{reference_};
   for (const Candidate& candidate : candidates) {
     const std::string& oriented =
-        candidate.reverse ? rc[candidate.read] : reads[candidate.read];
+        oriented_read(candidate.read, candidate.reverse);
     const std::string_view window =
         genome.substr(candidate.begin, candidate.length);
     if (options_.filter) {
@@ -179,9 +204,8 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
           std::max<i64>(p.mismatch, p.gap_open + p.gap_extend);
       i64 max_threshold = 0;
       for (const Candidate& candidate : survivors) {
-        const usize read_length = candidate.reverse
-                                      ? rc[candidate.read].size()
-                                      : reads[candidate.read].size();
+        const usize read_length =
+            oriented_read(candidate.read, candidate.reverse).size();
         max_threshold = std::max(
             max_threshold, filter_threshold(read_length, candidate.length));
       }
@@ -206,9 +230,8 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   for (usize i = 0; i < survivors.size(); ++i) {
     const Candidate& candidate = survivors[i];
     const align::AlignmentResult& result = batch_result.results[i];
-    const usize read_length = candidate.reverse
-                                  ? rc[candidate.read].size()
-                                  : reads[candidate.read].size();
+    const usize read_length =
+        oriented_read(candidate.read, candidate.reverse).size();
     if (result.score > score_cap(read_length, candidate.length)) continue;
     ++out.stats.qualified;
     Mapping& best = out.mappings[candidate.read];

@@ -17,6 +17,14 @@
 // never have qualified under brute force either - filtered and
 // unfiltered mapping return the same best alignment, score and CIGAR,
 // on every backend.
+//
+// Case: the index folds case, but the Myers filter and the WFA compare
+// bytes, so both sides are compared upper case. The mapper upper-cases
+// its own copy of the reference, so a soft-masked (lower-case) stretch
+// maps as its upper-case form would. map() compares each read's forward
+// strand upper-cased, copying only a read that holds a lower-case letter
+// (seq::reverse_complement already emits upper case). Every other byte,
+// N included, is compared as given.
 #pragma once
 
 #include <string>
@@ -88,9 +96,10 @@ struct MapResult {
 
 class ReadMapper {
  public:
-  // Indexes `reference` (owned by the mapper; candidate windows are
-  // zero-copy views into it). Throws InvalidArgument for an empty
-  // reference or out-of-range options.
+  // Upper-cases `reference` and indexes it (owned by the mapper;
+  // candidate windows are zero-copy views into it). Throws
+  // InvalidArgument for an empty reference, one longer than
+  // KmerIndex's u32 position limit, or out-of-range options.
   ReadMapper(std::string reference, MapperOptions options);
 
   // Maps every read: seed -> filter -> capped batched WFA -> best
@@ -109,6 +118,7 @@ class ReadMapper {
   i64 filter_threshold(usize read_length, usize window_length) const;
 
   const KmerIndex& index() const noexcept { return index_; }
+  // The mapper's upper-cased copy of the reference it was given.
   const std::string& reference() const noexcept { return reference_; }
   const MapperOptions& options() const noexcept { return options_; }
 

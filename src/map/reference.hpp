@@ -8,7 +8,7 @@
 // mutated copies of a repeat family across the sequence: seeds then vote
 // for every sibling copy and the Myers pre-filter has real junk to
 // reject. N islands model assembly gaps - their windows must be skipped
-// by the indexer, not hashed (see map::KmerIndex).
+// by the indexer, not encoded (see map::KmerIndex).
 #pragma once
 
 #include <string>

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,17 @@ namespace {
 
 // --- k-mer index / seeding correctness -----------------------------------
 
+std::vector<u32> as_vector(std::span<const u32> hits) {
+  return {hits.begin(), hits.end()};
+}
+
+std::string lower_cased(std::string sequence) {
+  for (char& c : sequence) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return sequence;
+}
+
 TEST(KmerIndex, IndexesEveryValidWindow) {
   const std::string reference = "ACGTACGTACGT";
   KmerIndex index(reference, 4);
@@ -28,8 +41,8 @@ TEST(KmerIndex, IndexesEveryValidWindow) {
   EXPECT_EQ(index.indexed_positions(), reference.size() - 4 + 1);
   EXPECT_EQ(index.skipped_positions(), 0u);
   // "ACGT" occurs at 0, 4, 8.
-  EXPECT_EQ(index.lookup("ACGT"), (std::vector<u32>{0, 4, 8}));
-  EXPECT_EQ(index.lookup("CGTA"), (std::vector<u32>{1, 5}));
+  EXPECT_EQ(as_vector(index.lookup("ACGT")), (std::vector<u32>{0, 4, 8}));
+  EXPECT_EQ(as_vector(index.lookup("CGTA")), (std::vector<u32>{1, 5}));
   EXPECT_TRUE(index.lookup("AAAA").empty());
 }
 
@@ -55,7 +68,8 @@ TEST(KmerIndex, SkipsWindowsOverlappingInvalidBases) {
   EXPECT_EQ(index.skipped_positions(), 4u);
   EXPECT_EQ(index.indexed_positions(), reference.size() - 4 + 1 - 4);
   for (usize start = 4; start <= 7; ++start) {
-    const auto& hits = index.lookup(reference.substr(start, 4));
+    const std::span<const u32> hits =
+        index.lookup(reference.substr(start, 4));
     EXPECT_TRUE(std::find(hits.begin(), hits.end(), static_cast<u32>(start)) ==
                 hits.end())
         << "window at " << start << " overlaps the N and must not be indexed";
@@ -64,12 +78,103 @@ TEST(KmerIndex, SkipsWindowsOverlappingInvalidBases) {
   EXPECT_TRUE(index.lookup("ACGN").empty());
   EXPECT_TRUE(index.lookup("TCGN").empty());
   // The valid windows around the run are still found.
-  EXPECT_EQ(index.lookup("ACGT"), (std::vector<u32>{0, 8, 12}));
+  EXPECT_EQ(as_vector(index.lookup("ACGT")), (std::vector<u32>{0, 8, 12}));
 }
 
 TEST(KmerIndex, RejectsOutOfRangeK) {
   EXPECT_THROW(KmerIndex("ACGT", 2), InvalidArgument);
   EXPECT_THROW(KmerIndex("ACGT", 32), InvalidArgument);
+}
+
+// Differential check against a naive scan of every window, over
+// references with N islands, a lower-cased stretch (whose Ns read `n`)
+// and poly-A / poly-T runs that land in the directory's first and last
+// slots, at seed lengths whose directory covers all 2k code bits (k = 4)
+// or only the top 16 (k = 11, 16, 31).
+TEST(KmerIndex, MatchesNaiveScan) {
+  ReferenceConfig config;
+  config.length = 6000;
+  config.n_islands = 4;
+  config.n_island_length = 30;
+  std::string reference = synthetic_reference(config);
+  reference.replace(1000, 1500, lower_cased(reference.substr(1000, 1500)));
+  reference += std::string(64, 'A') + "N" + std::string(64, 'T');
+  ASSERT_NE(reference.find('n'), std::string::npos);
+
+  Rng rng(0x1DE);
+  for (const usize k : {usize{4}, usize{11}, usize{16}, usize{31}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    std::map<std::string, std::vector<u32>> naive;
+    for (usize start = 0; start + k <= reference.size(); ++start) {
+      const std::string window = reference.substr(start, k);
+      if (!seq::is_valid_sequence(window)) continue;
+      naive[seq::normalize_sequence(window)].push_back(
+          static_cast<u32>(start));
+    }
+    const KmerIndex index(reference, k);
+    usize indexed = 0;
+    for (const auto& [kmer, positions] : naive) indexed += positions.size();
+    EXPECT_EQ(index.distinct_kmers(), naive.size());
+    EXPECT_EQ(index.indexed_positions(), indexed);
+    EXPECT_EQ(index.skipped_positions(), reference.size() - k + 1 - indexed);
+    // Codes are u64, offsets u32, and the directory has
+    // 2^min(2k, 16) + 1 slots.
+    const usize slots = (usize{1} << std::min<usize>(2 * k, 16)) + 1;
+    EXPECT_EQ(index.memory_bytes(),
+              naive.size() * sizeof(u64) +
+                  (naive.size() + 1 + indexed + slots) * sizeof(u32));
+
+    const auto expect_naive = [&](const std::string& kmer) {
+      const auto hit = naive.find(kmer);
+      const std::vector<u32> expected =
+          hit == naive.end() ? std::vector<u32>{} : hit->second;
+      EXPECT_EQ(as_vector(index.lookup(kmer)), expected) << kmer;
+    };
+    for (const auto& [kmer, positions] : naive) {
+      EXPECT_EQ(as_vector(index.lookup(kmer)), positions) << kmer;
+      EXPECT_EQ(as_vector(index.lookup(lower_cased(kmer))), positions)
+          << kmer;
+      std::string with_n = kmer;
+      with_n[rng.next_below(k)] = 'N';
+      EXPECT_TRUE(index.lookup(with_n).empty()) << with_n;
+    }
+    // Absent k-mers: every 4-mer, else random ones and one-base edits of
+    // present ones.
+    if (k == 4) {
+      for (u64 code = 0; code < 256; ++code) {
+        std::string kmer(4, 'A');
+        for (usize i = 0; i < 4; ++i) {
+          kmer[3 - i] = seq::decode_base(static_cast<u8>(code >> (2 * i)));
+        }
+        expect_naive(kmer);
+      }
+    } else {
+      for (usize trial = 0; trial < 200; ++trial) {
+        expect_naive(seq::random_sequence(rng, k));
+      }
+      for (const auto& entry : naive) {
+        std::string kmer = entry.first;
+        kmer[k - 1] = seq::decode_base(
+            static_cast<u8>((seq::encode_base(kmer[k - 1]) + 1) & 3u));
+        expect_naive(kmer);
+      }
+    }
+  }
+}
+
+TEST(KmerIndex, IndexesNothingWithoutAValidWindow) {
+  for (const std::string& reference :
+       {std::string("ACG"), std::string(100, 'N')}) {
+    const KmerIndex index(reference, 4);
+    EXPECT_EQ(index.distinct_kmers(), 0u);
+    EXPECT_EQ(index.indexed_positions(), 0u);
+    EXPECT_EQ(index.skipped_positions(),
+              reference.size() < 4 ? 0u : reference.size() - 4 + 1);
+    EXPECT_EQ(index.memory_bytes(), 0u);
+    EXPECT_TRUE(index.lookup("ACGT").empty());
+    EXPECT_TRUE(index.lookup("AAAA").empty());
+    EXPECT_TRUE(index.lookup("TTTT").empty());
+  }
 }
 
 // --- reference synthesis / read simulation -------------------------------
@@ -423,6 +528,75 @@ TEST(ReadMapper, NContainingReferenceAndReadsMapCleanly) {
     if (delta >= -8 && delta <= 8) ++correct;
   }
   EXPECT_GE(correct * 10, workload.truth.size() * 8);
+}
+
+// The 120 kb reference of bench_mapper and perfbench map-reads, and 64
+// reads from both strands.
+struct CaseWorkload {
+  std::string genome;
+  std::vector<std::string> queries;
+
+  CaseWorkload() {
+    ReferenceConfig ref_config;
+    ref_config.length = 120'000;
+    genome = synthetic_reference(ref_config);
+    ReadSimConfig sim;
+    sim.reads = 64;
+    sim.seed = 77;
+    for (const SimulatedRead& read : simulate_reads(genome, sim)) {
+      queries.push_back(read.bases);
+    }
+  }
+};
+
+usize mapped_reads(const MapResult& result) {
+  return static_cast<usize>(
+      std::count_if(result.mappings.begin(), result.mappings.end(),
+                    [](const Mapping& m) { return m.mapped; }));
+}
+
+// The index folds case but the filter and the WFA compare bytes: before
+// the mapper upper-cased its reference, every read from a soft-masked
+// stretch was seeded and then failed verification.
+TEST(ReadMapper, SoftMaskedReferenceMapsAsUpperCase) {
+  const CaseWorkload workload;
+  const usize half = workload.genome.size() / 2;
+  const std::string masked =
+      workload.genome.substr(0, half) +
+      lower_cased(workload.genome.substr(half));
+
+  MapperOptions options = backend_options("cpu");
+  const MapResult plain =
+      ReadMapper(workload.genome, options).map(workload.queries);
+  ReadMapper masked_mapper(masked, options);
+  EXPECT_TRUE(masked_mapper.reference() == workload.genome);
+  const MapResult soft = masked_mapper.map(workload.queries);
+  options.filter = false;
+  const MapResult brute = ReadMapper(masked, options).map(workload.queries);
+
+  EXPECT_EQ(mapped_reads(plain), workload.queries.size());
+  EXPECT_EQ(mapped_reads(soft), workload.queries.size());
+  expect_identical(plain, soft, "soft-masked reference");
+  expect_identical(soft, brute, "soft-masked brute force");
+}
+
+// seq::reverse_complement emits upper case, so before map() upper-cased
+// the forward strand a lower-case read mapped only from the reverse
+// strand.
+TEST(ReadMapper, LowerCaseReadsMapAsUpperCase) {
+  const CaseWorkload workload;
+  std::vector<std::string> lowered;
+  for (const std::string& query : workload.queries) {
+    lowered.push_back(lower_cased(query));
+  }
+  ReadMapper mapper(workload.genome, backend_options("cpu"));
+  const MapResult upper = mapper.map(workload.queries);
+  const MapResult lower = mapper.map(lowered);
+  EXPECT_EQ(mapped_reads(lower), workload.queries.size());
+  EXPECT_EQ(lower.stats.candidates, upper.stats.candidates);
+  EXPECT_EQ(lower.stats.verified, upper.stats.verified);
+  EXPECT_EQ(lower.stats.qualified, upper.stats.qualified);
+  expect_identical(upper, lower, "lower-case reads");
 }
 
 // --- options validation ---------------------------------------------------
