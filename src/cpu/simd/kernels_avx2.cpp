@@ -60,6 +60,8 @@ inline __m256i load_row(const wfa::Wavefront* w, i32 k0, i32 shift,
 
 }  // namespace
 
+// The lane-wise copy of wfa::rule::cell (wfa/rule.hpp), which test_simd
+// holds to the rule cell by cell.
 void compute_row_avx2(const wfa::ComputeRowArgs& args) {
   // Vector blocks must stay where every live source row's +-1 shifted
   // load lands inside its padded allocation: k0 >= src->lo - (pad - 1)

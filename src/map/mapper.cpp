@@ -34,6 +34,11 @@ const std::string& checked_reference(const std::string& reference,
 
 bool is_lower(char c) { return c >= 'a' && c <= 'z'; }
 
+// A, C, G, T or N in either case: the bytes a read may hold to be mapped.
+bool is_mappable(char c) {
+  return seq::is_valid_base(c) || c == 'N' || c == 'n';
+}
+
 // ASCII upper case; every other byte is kept.
 std::string upper_cased(std::string sequence) {
   for (char& c : sequence) {
@@ -103,13 +108,16 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   // can be zero-copy views for the filter stage.
   std::vector<std::string> rc(options_.both_strands ? reads.size() : 0);
   // Forward strands are compared upper case, as reverse_complement emits
-  // them: only a read holding a lower-case letter is copied.
+  // them: only a read holding a lower-case letter is copied. A read outside
+  // the mapper's alphabet keeps no forward strand and is skipped.
   std::vector<std::string> upper(reads.size());
   std::vector<const std::string*> forward(reads.size());
   for (usize r = 0; r < reads.size(); ++r) {
-    forward[r] = &reads[r];
-    if (std::any_of(reads[r].begin(), reads[r].end(), is_lower)) {
-      upper[r] = upper_cased(reads[r]);
+    const std::string& read = reads[r];
+    if (!std::all_of(read.begin(), read.end(), is_mappable)) continue;
+    forward[r] = &read;
+    if (std::any_of(read.begin(), read.end(), is_lower)) {
+      upper[r] = upper_cased(read);
       forward[r] = &upper[r];
     }
   }
@@ -123,6 +131,7 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   std::vector<usize> seed_starts;
   std::vector<i64> votes;
   for (usize r = 0; r < reads.size(); ++r) {
+    if (forward[r] == nullptr) continue;  // outside the alphabet: unmapped
     const usize strands = options_.both_strands ? 2 : 1;
     for (usize strand = 0; strand < strands; ++strand) {
       if (strand == 1) rc[r] = seq::reverse_complement(reads[r]);

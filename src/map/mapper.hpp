@@ -23,8 +23,13 @@
 // its own copy of the reference, so a soft-masked (lower-case) stretch
 // maps as its upper-case form would. map() compares each read's forward
 // strand upper-cased, copying only a read that holds a lower-case letter
-// (seq::reverse_complement already emits upper case). Every other byte,
-// N included, is compared as given.
+// (seq::reverse_complement already emits upper case). N is compared as
+// given.
+//
+// Alphabet: a read holding any byte other than A, C, G, T or N, in either
+// case (an IUPAC code such as R, say), is neither seeded nor verified. Its
+// Mapping stays unmapped, and the other reads of the call map as they
+// would without it.
 #pragma once
 
 #include <string>

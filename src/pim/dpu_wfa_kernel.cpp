@@ -3,22 +3,26 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <string>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "seq/alphabet.hpp"
+#include "wfa/rule.hpp"
 
 namespace pimwfa::pim {
 namespace {
 
-using wfa::kOffsetNone;
-using wfa::mismatch_candidate;
+using wfa::Component;
 using wfa::Offset;
 
 constexpr const KernelCosts& kCosts = kDefaultKernelCosts;
 
-inline Offset max3(Offset a, Offset b, Offset c) noexcept {
-  return std::max(a, std::max(b, c));
+// The offset array of component `c` in a descriptor (0 when null).
+u64 handle_of(const WfDesc& desc, Component c) {
+  return c == Component::kM   ? desc.m_addr
+         : c == Component::kI ? desc.i_addr
+                              : desc.d_addr;
 }
 
 // Per-tasklet kernel engine: owns the WRAM buffers and the staging
@@ -34,6 +38,7 @@ class Engine {
                 sizeof(BatchHeader));
     PIMWFA_HW_CHECK(hdr_.magic == BatchHeader::kMagic,
                     "DPU launched without a batch in MRAM");
+    penalties_ = {hdr_.mismatch, hdr_.gap_open, hdr_.gap_extend};
 
     const u64 free_before = ctx_.wram_free();
     pattern_pad_ = round_up_pow2(hdr_.max_pattern, 8);
@@ -112,8 +117,8 @@ class Engine {
     std::memcpy(lens, ctx_.wram_ptr(stage_off_, 8), 8);
     // Tiled segments carry their seam components in the top length bits
     // (see layout.hpp); plain pairs decode to M/M.
-    begin_ = lens[0] >> kPairCompShift;
-    end_ = lens[1] >> kPairCompShift;
+    begin_ = static_cast<Component>(lens[0] >> kPairCompShift);
+    end_ = static_cast<Component>(lens[1] >> kPairCompShift);
     plen_ = static_cast<i32>(lens[0] & kPairLenMask);
     tlen_ = static_cast<i32>(lens[1] & kPairLenMask);
     PIMWFA_HW_CHECK(static_cast<u32>(plen_) <= hdr_.max_pattern &&
@@ -184,20 +189,19 @@ class Engine {
   // Span termination: an end_ of I/D means the (sub)alignment must end in
   // that gap component - M reaching the corner does not terminate it.
   bool hits_end(u64 score, bool m_done) {
-    if (end_ == 0) return m_done;
+    if (end_ == Component::kM) return m_done;
     const WfDesc desc = space_->read_desc(score);
     if (!desc.exists()) return false;
-    const u64 handle = end_ == 1 ? desc.i_addr : desc.d_addr;
-    const Offset off =
-        space_->read_offset(handle, desc.lo, desc.hi, tlen_ - plen_);
+    const Offset off = space_->read_offset(handle_of(desc, end_), desc.lo,
+                                           desc.hi, tlen_ - plen_);
     return wfa::offset_reachable(off) && off >= tlen_;
   }
 
   void compute_next(u64 score) {
     ctx_.account(kCosts.score_step);
-    const i32 x = hdr_.mismatch;
-    const i32 oe = hdr_.gap_open + hdr_.gap_extend;
-    const i32 e = hdr_.gap_extend;
+    const i32 x = penalties_.mismatch;
+    const i32 oe = penalties_.gap_open + penalties_.gap_extend;
+    const i32 e = penalties_.gap_extend;
 
     const WfDesc sub_d =
         score >= static_cast<u64>(x) ? space_->read_desc(score - x) : WfDesc{};
@@ -206,49 +210,32 @@ class Engine {
     const WfDesc ext_d =
         score >= static_cast<u64>(e) ? space_->read_desc(score - e) : WfDesc{};
 
-    const bool has_sub = sub_d.m_addr != 0;
-    const bool has_gap = gap_d.m_addr != 0;
-    const bool has_i = ext_d.i_addr != 0;
-    const bool has_d = ext_d.d_addr != 0;
-    if (!has_sub && !has_gap && !has_i && !has_d) {
+    wfa::rule::RowRange range;
+    if (sub_d.exists()) range.cover(sub_d.lo, sub_d.hi);
+    if (gap_d.exists()) range.cover(gap_d.lo, gap_d.hi);
+    if (ext_d.i_addr != 0 || ext_d.d_addr != 0) {
+      range.cover(ext_d.lo, ext_d.hi);
+    }
+    range.clip(plen_, tlen_);
+    if (range.empty()) {
       space_->write_desc(score, WfDesc{});  // unreachable score (hole)
       return;
     }
 
-    i32 lo = std::numeric_limits<i32>::max();
-    i32 hi = std::numeric_limits<i32>::min();
-    if (has_sub) {
-      lo = std::min(lo, sub_d.lo - 1);
-      hi = std::max(hi, sub_d.hi + 1);
-    }
-    if (has_gap) {
-      lo = std::min(lo, gap_d.lo - 1);
-      hi = std::max(hi, gap_d.hi + 1);
-    }
-    if (has_i || has_d) {
-      lo = std::min(lo, ext_d.lo - 1);
-      hi = std::max(hi, ext_d.hi + 1);
-    }
-    lo = std::max(lo, -plen_);
-    hi = std::min(hi, tlen_);
-    if (lo > hi) {
-      space_->write_desc(score, WfDesc{});
-      return;
-    }
-
-    const usize width = static_cast<usize>(hi - lo + 1);
+    const i32 lo = range.lo;
+    const i32 hi = range.hi;
     WfDesc out;
     out.lo = lo;
     out.hi = hi;
-    out.m_addr = space_->alloc_offsets(width);
-    out.i_addr = space_->alloc_offsets(width);
-    out.d_addr = space_->alloc_offsets(width);
+    out.m_addr = space_->alloc_offsets(range.width());
+    out.i_addr = space_->alloc_offsets(range.width());
+    out.d_addr = space_->alloc_offsets(range.width());
 
     win(kWSub).bind(sub_d.m_addr, sub_d.lo, sub_d.hi, false);
     win(kWGapLo).bind(gap_d.m_addr, gap_d.lo, gap_d.hi, false);
     win(kWGapHi).bind(gap_d.m_addr, gap_d.lo, gap_d.hi, false);
-    win(kWIExt).bind(has_i ? ext_d.i_addr : 0, ext_d.lo, ext_d.hi, false);
-    win(kWDExt).bind(has_d ? ext_d.d_addr : 0, ext_d.lo, ext_d.hi, false);
+    win(kWIExt).bind(ext_d.i_addr, ext_d.lo, ext_d.hi, false);
+    win(kWDExt).bind(ext_d.d_addr, ext_d.lo, ext_d.hi, false);
     win(kWOutM).bind(out.m_addr, lo, hi, true);
     win(kWOutI).bind(out.i_addr, lo, hi, true);
     win(kWOutD).bind(out.d_addr, lo, hi, true);
@@ -256,21 +243,12 @@ class Engine {
     const u64 cell_cost =
         kCosts.cell + (space_->in_wram() ? 0 : kCosts.cell_mram_extra);
     for (i32 k = lo; k <= hi; ++k) {
-      Offset ins = std::max(win(kWGapLo).get(k - 1), win(kWIExt).get(k - 1));
-      if (wfa::offset_reachable(ins)) {
-        ++ins;
-        if (ins > tlen_) ins = kOffsetNone;
-      } else {
-        ins = kOffsetNone;
-      }
-      Offset del = std::max(win(kWGapHi).get(k + 1), win(kWDExt).get(k + 1));
-      if (!wfa::offset_reachable(del) || del - k > plen_) del = kOffsetNone;
-      const Offset sub = mismatch_candidate(win(kWSub).get(k), k, plen_, tlen_);
-      Offset best = max3(sub, ins, del);
-      if (!wfa::offset_reachable(best)) best = kOffsetNone;
-      win(kWOutI).set(k, ins);
-      win(kWOutD).set(k, del);
-      win(kWOutM).set(k, best);
+      const wfa::rule::Cell c = wfa::rule::cell(
+          win(kWSub).get(k), win(kWGapLo).get(k - 1), win(kWIExt).get(k - 1),
+          win(kWGapHi).get(k + 1), win(kWDExt).get(k + 1), k, plen_, tlen_);
+      win(kWOutI).set(k, c.i);
+      win(kWOutD).set(k, c.d);
+      win(kWOutM).set(k, c.m);
       ctx_.account(cell_cost);
     }
     win(kWOutM).flush();
@@ -282,98 +260,34 @@ class Engine {
   // Backtrace into the WRAM CIGAR buffer, written back-to-front so the
   // final ops end up in forward order. Returns the op count.
   usize backtrace(u64 final_score) {
-    const i32 x = hdr_.mismatch;
-    const i32 oe = hdr_.gap_open + hdr_.gap_extend;
-    const i32 e = hdr_.gap_extend;
-    u8* cigar = ctx_.wram_ptr(cigar_off_, cigar_cap_);
-    usize pos = static_cast<usize>(cigar_cap_);
-    auto emit = [&](char op) {
-      PIMWFA_HW_CHECK(pos > 0, "CIGAR buffer overflow in DPU backtrace");
-      cigar[--pos] = static_cast<u8>(op);
-      ctx_.account(kCosts.cigar_byte);
-    };
+    // Reads each cell as a descriptor then an offset through MetaSpace,
+    // and charges every step and CIGAR byte.
+    struct Trace {
+      Engine& engine;
+      u8* cigar;
+      usize pos;
 
-    enum class State { kM, kI, kD };
-    u64 s = final_score;
-    i32 k = tlen_ - plen_;
-    Offset off = tlen_;
-    State state = end_ == 1 ? State::kI : end_ == 2 ? State::kD : State::kM;
-    auto comp_at = [&](u64 score, char comp, i32 kk) -> Offset {
-      const WfDesc d = space_->read_desc(score);
-      const u64 handle =
-          comp == 'm' ? d.m_addr : (comp == 'i' ? d.i_addr : d.d_addr);
-      return space_->read_offset(handle, d.lo, d.hi, kk);
-    };
-
-    while (true) {
-      ctx_.account(kCosts.backtrace_step);
-      if (state == State::kM) {
-        const Offset sub =
-            s >= static_cast<u64>(x)
-                ? mismatch_candidate(comp_at(s - x, 'm', k), k, plen_, tlen_)
-                : kOffsetNone;
-        const Offset ins = comp_at(s, 'i', k);
-        const Offset del = comp_at(s, 'd', k);
-        const Offset best = max3(sub, ins, del);
-        if (!wfa::offset_reachable(best)) {
-          PIMWFA_HW_CHECK(s == 0 && k == 0, "DPU backtrace stuck");
-          for (Offset i = 0; i < off; ++i) emit('M');
-          break;
-        }
-        PIMWFA_HW_CHECK(off >= best, "DPU backtrace offset regression");
-        for (Offset i = best; i < off; ++i) emit('M');
-        off = best;
-        if (sub == best) {
-          emit('X');
-          s -= static_cast<u64>(x);
-          --off;
-        } else if (ins == best) {
-          state = State::kI;
-        } else {
-          state = State::kD;
-        }
-      } else if (state == State::kI) {
-        // The span seed I[0][0] is the entry state, not an operation.
-        if (begin_ == 1 && s == 0 && k == 0 && off == 0) break;
-        emit('I');
-        const Offset open_src =
-            s >= static_cast<u64>(oe) ? comp_at(s - oe, 'm', k - 1)
-                                      : kOffsetNone;
-        if (open_src == off - 1) {
-          state = State::kM;
-          s -= static_cast<u64>(oe);
-        } else {
-          const Offset ext_src = s >= static_cast<u64>(e)
-                                     ? comp_at(s - e, 'i', k - 1)
-                                     : kOffsetNone;
-          PIMWFA_HW_CHECK(ext_src == off - 1, "DPU backtrace broken I chain");
-          s -= static_cast<u64>(e);
-        }
-        --off;
-        --k;
-      } else {
-        if (begin_ == 2 && s == 0 && k == 0 && off == 0) break;
-        emit('D');
-        const Offset open_src =
-            s >= static_cast<u64>(oe) ? comp_at(s - oe, 'm', k + 1)
-                                      : kOffsetNone;
-        if (open_src == off) {
-          state = State::kM;
-          s -= static_cast<u64>(oe);
-        } else {
-          const Offset ext_src = s >= static_cast<u64>(e)
-                                     ? comp_at(s - e, 'd', k + 1)
-                                     : kOffsetNone;
-          PIMWFA_HW_CHECK(ext_src == off, "DPU backtrace broken D chain");
-          s -= static_cast<u64>(e);
-        }
-        ++k;
+      Offset at(Component c, i64 s, i32 k) {
+        const WfDesc d = engine.space_->read_desc(static_cast<u64>(s));
+        return engine.space_->read_offset(handle_of(d, c), d.lo, d.hi, k);
       }
-    }
+      void step() { engine.ctx_.account(kCosts.backtrace_step); }
+      void push(char op) {
+        PIMWFA_HW_CHECK(pos > 0, "CIGAR buffer overflow in DPU backtrace");
+        cigar[--pos] = static_cast<u8>(op);
+        engine.ctx_.account(kCosts.cigar_byte);
+      }
+      [[noreturn]] void fail(const char* what) {
+        throw HardwareFault(std::string("hardware fault: DPU ") + what);
+      }
+    } trace{*this, ctx_.wram_ptr(cigar_off_, cigar_cap_),
+            static_cast<usize>(cigar_cap_)};
+    wfa::rule::backtrace(trace, penalties_, static_cast<i64>(final_score),
+                         plen_, tlen_, begin_, end_);
 
     // Compact the ops to the buffer start for an aligned DMA out.
-    const usize len = static_cast<usize>(cigar_cap_) - pos;
-    std::memmove(cigar, cigar + pos, len);
+    const usize len = static_cast<usize>(cigar_cap_) - trace.pos;
+    std::memmove(trace.cigar, trace.cigar + trace.pos, len);
     ctx_.account(len * 2);
     return len;
   }
@@ -387,15 +301,10 @@ class Engine {
     usize cigar_len = 0;
 
     if (plen_ == 0 || tlen_ == 0) {
-      // Degenerate pair: one all-gap alignment. A tiled segment that
-      // continues its begin component's seam run pays no gap_open (the
-      // upstream segment already did).
-      const i32 gap = plen_ + tlen_;
-      const bool seam = (tlen_ > 0 && begin_ == 1) ||
-                        (plen_ > 0 && begin_ == 2);
-      score = gap == 0 ? 0
-                       : (seam ? 0 : static_cast<u64>(hdr_.gap_open)) +
-                             static_cast<u64>(gap) * hdr_.gap_extend;
+      // Degenerate pair: one all-gap alignment.
+      score = static_cast<u64>(wfa::rule::gap_run_score(
+          penalties_, static_cast<usize>(plen_), static_cast<usize>(tlen_),
+          begin_));
       if (hdr_.full_alignment != 0) {
         u8* cigar = ctx_.wram_ptr(cigar_off_, cigar_cap_);
         for (i32 i = 0; i < tlen_; ++i) cigar[cigar_len++] = 'I';
@@ -414,13 +323,13 @@ class Engine {
       seed.bind(d0.m_addr, 0, 0, true);
       seed.set(0, 0);
       seed.flush();
-      if (begin_ == 1) {
+      if (begin_ == Component::kI) {
         d0.i_addr = space_->alloc_offsets(1);
         OffsetWindow& gi = win(kWOutI);
         gi.bind(d0.i_addr, 0, 0, true);
         gi.set(0, 0);
         gi.flush();
-      } else if (begin_ == 2) {
+      } else if (begin_ == Component::kD) {
         d0.d_addr = space_->alloc_offsets(1);
         OffsetWindow& gd = win(kWOutD);
         gd.bind(d0.d_addr, 0, 0, true);
@@ -464,10 +373,11 @@ class Engine {
   u64 field_text_pad_ = 0;
   u64 packed_stage_off_ = 0;
   u64 cigar_cap_ = 0;
+  align::Penalties penalties_;
   i32 plen_ = 0;
   i32 tlen_ = 0;
-  u32 begin_ = 0;  // seam components (0 = M, 1 = I, 2 = D)
-  u32 end_ = 0;
+  Component begin_ = Component::kM;  // seam components
+  Component end_ = Component::kM;
   const char* pattern_ = nullptr;
   const char* text_ = nullptr;
   std::optional<MetaSpace> space_;

@@ -8,10 +8,12 @@
 //      (MRAM-resident + staged on demand, or WRAM-resident, per policy),
 //   3. write score (and CIGAR, in full-alignment batches) back to MRAM.
 //
-// The algorithm (recurrences, trimming, backtrace tie-breaking) mirrors
-// wfa::WfaAligner operation for operation - the paper applies "no
-// optimizations compared to the original WFA implementation" - so host and
-// DPU results are bit-identical, which the integration tests assert.
+// The algorithm is the original WFA - the paper applies "no optimizations
+// compared to the original WFA implementation". The kernel runs
+// wfa/rule.hpp (the cell recurrence, row ranges, gap runs and the
+// backtrace with its tie-break) over MetaSpace reads and writes, the same
+// rule wfa::WfaAligner runs over its host arena, so host and DPU results
+// are bit-identical by construction (the integration tests assert it).
 // Instructions are charged from kDefaultKernelCosts (pim/cost_table.hpp).
 #pragma once
 

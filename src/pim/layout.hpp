@@ -30,7 +30,7 @@
 namespace pimwfa::pim {
 
 // Long-pair tiling rides the boundary components of a segment (see
-// wfa::WfaAligner::Component and pim/tiling.hpp) in the top two bits of
+// wfa::Component and pim/tiling.hpp) in the top two bits of
 // the PairRecord length fields: 0 = M, 1 = I, 2 = D. Plain pairs encode
 // 0/0, so untiled batches are byte-identical to the pre-tiling format.
 inline constexpr u32 kPairLenMask = 0x3FFFFFFFu;

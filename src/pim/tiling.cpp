@@ -7,10 +7,11 @@
 #include <string_view>
 
 #include "common/check.hpp"
+#include "wfa/rule.hpp"
 
 namespace pimwfa::pim {
 
-using Component = wfa::WfaAligner::Component;
+using wfa::Component;
 using Subproblem = wfa::WfaAligner::Subproblem;
 
 // An entry of the planning frontier: an open subproblem of the trace's
@@ -124,18 +125,10 @@ TilingPlanner::TilingPlanner(TilingConfig config,
 
 u64 TilingPlanner::retained_arena_estimate(i64 score, usize plen,
                                            usize tlen) {
-  // Mirrors the DPU kernel's MetaSpace consumption: 3 offset arrays per
-  // score, widths growing 2s+1 until the band caps them, 8-byte
-  // allocation granularity per array.
-  const i64 band = static_cast<i64>(plen + tlen + 1);
-  const i64 knee = std::min(score, (band - 1) / 2);
-  const u64 growing = static_cast<u64>(knee + 1) * static_cast<u64>(knee + 1);
-  const u64 flat = score > knee
-                       ? static_cast<u64>(score - knee) * static_cast<u64>(band)
-                       : 0;
-  const u64 payload = (growing + flat) * 3u * sizeof(wfa::Offset);
-  const u64 alloc_slack = static_cast<u64>(score + 1) * 3u * 8u;
-  return payload + alloc_slack;
+  // The DPU kernel's MetaSpace consumption: the retained payload plus up
+  // to 8 bytes of allocation granularity per array, 3 arrays per score.
+  return wfa::rule::retained_bytes(score, plen, tlen) +
+         static_cast<u64>(score + 1) * 3u * 8u;
 }
 
 void TilingPlanner::trace(seq::ReadPairSpan batch,

@@ -1,6 +1,6 @@
 #include "wfa/kernels.hpp"
 
-#include <algorithm>
+#include "wfa/rule.hpp"
 
 namespace pimwfa::wfa {
 
@@ -15,28 +15,13 @@ void compute_row_scalar(const ComputeRowArgs& args) {
     return w != nullptr ? w->at(k) : kOffsetNone;
   };
   for (i32 k = args.lo; k <= args.hi; ++k) {
-    // I[s][k]: open from M[s-o-e][k-1] or extend I[s-e][k-1]; consumes one
-    // text base, so trim h <= tlen.
-    Offset ins = std::max(at(args.m_gap, k - 1), at(args.i_ext, k - 1));
-    if (offset_reachable(ins)) {
-      ++ins;
-      if (ins > args.tl) ins = kOffsetNone;
-    } else {
-      ins = kOffsetNone;
-    }
-    // D[s][k]: open from M[s-o-e][k+1] or extend D[s-e][k+1]; consumes one
-    // pattern base, so trim v = off - k <= plen.
-    Offset del = std::max(at(args.m_gap, k + 1), at(args.d_ext, k + 1));
-    if (!offset_reachable(del) || del - k > args.pl) del = kOffsetNone;
-    // M[s][k]: mismatch predecessor or close a gap opened this score.
-    const Offset sub =
-        mismatch_candidate(at(args.m_sub, k), k, args.pl, args.tl);
-    Offset best = std::max(sub, std::max(ins, del));
-    if (!offset_reachable(best)) best = kOffsetNone;
-
-    args.out_i->set(k, ins);
-    args.out_d->set(k, del);
-    args.out_m->set(k, best);
+    const rule::Cell c =
+        rule::cell(at(args.m_sub, k), at(args.m_gap, k - 1),
+                   at(args.i_ext, k - 1), at(args.m_gap, k + 1),
+                   at(args.d_ext, k + 1), k, args.pl, args.tl);
+    args.out_i->set(k, c.i);
+    args.out_d->set(k, c.d);
+    args.out_m->set(k, c.m);
   }
 }
 

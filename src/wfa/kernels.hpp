@@ -6,8 +6,11 @@
 // accelerated implementation (the SIMD backend under cpu/simd/) can
 // replace them without the wfa/ layer knowing about instruction sets.
 // Both kernels compute the exact same mathematical object as the scalar
-// defaults; any implementation plugged in here must stay bit-identical
-// (the differential harness enforces this across every dispatch level).
+// defaults. A compute_row writes, for every diagonal k of its range,
+// exactly the cell rule::cell (wfa/rule.hpp) computes from k's sources.
+// The scalar default is a loop over rule::cell; a vector kernel is a
+// lane-wise copy of it, and test_simd holds each to the rule cell by cell
+// (the differential harness checks whole alignments at every level).
 //
 // Lane-friendliness contract: every wavefront row is allocated with
 // kWavefrontPad sentinel slots (kOffsetNone) on each side of [lo, hi], so
@@ -23,18 +26,6 @@ namespace pimwfa::wfa {
 
 // Sentinel-filled slots allocated on both sides of every wavefront row.
 inline constexpr usize kWavefrontPad = 8;
-
-// Mismatch-predecessor candidate for M[s][k]: advance one along the
-// diagonal, trimmed against the sequence bounds (h <= tlen, v <= plen).
-// Shared by compute_row, the backtrace, the SIMD kernels and the DPU
-// kernel (pim/dpu_wfa_kernel.cpp) so all see identical values.
-inline Offset mismatch_candidate(Offset prev, i32 k, i32 plen,
-                                 i32 tlen) noexcept {
-  if (!offset_reachable(prev)) return kOffsetNone;
-  const Offset off = prev + 1;
-  if (off > tlen || off - k > plen) return kOffsetNone;
-  return off;
-}
 
 // Length of the common prefix of a[0..max) and b[0..max).
 using MatchRunFn = usize (*)(const char* a, const char* b, usize max);

@@ -23,6 +23,14 @@ inline constexpr Offset kOffsetNone = std::numeric_limits<Offset>::min() / 2;
 // True for offsets that denote a reachable cell (valid offsets are >= 0).
 constexpr bool offset_reachable(Offset offset) noexcept { return offset >= 0; }
 
+// A wavefront component, also the state an alignment path is in. Long-read
+// machinery (kUltralow recursion, PIM tiling) cuts a pair at a breakpoint
+// that may sit inside a gap run; the two halves then begin/end mid-gap. A
+// half that begins in kI/kD pays no gap_open for continuing the seam run
+// (the opening half already paid it); a half that ends in kI/kD must end
+// with that gap operation. kM at both ends is a plain alignment.
+enum class Component : u8 { kM, kI, kD };
+
 // One component (M, I or D) of the wavefront at one score.
 struct Wavefront {
   bool exists = false;
@@ -49,6 +57,10 @@ struct WavefrontSet {
   Wavefront d;
 
   bool any_exists() const noexcept { return m.exists || i.exists || d.exists; }
+
+  const Wavefront& of(Component c) const noexcept {
+    return c == Component::kM ? m : c == Component::kI ? i : d;
+  }
 };
 
 // Work counters reported by the WFA core. These drive both the CPU

@@ -4,23 +4,16 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "wfa/rule.hpp"
 
 namespace pimwfa::wfa {
 namespace {
-
-inline Offset max3(Offset a, Offset b, Offset c) noexcept {
-  return std::max(a, std::max(b, c));
-}
-
-using Component = WfaAligner::Component;
 
 // True when wavefront row `set` completes a (sub)alignment that must end
 // in `end`: that component's offset on the final diagonal reaches the end
 // of the text.
 bool hits_end(const WavefrontSet& set, Component end, i32 k_final, i32 tl) {
-  const Wavefront& w = end == Component::kM   ? set.m
-                       : end == Component::kI ? set.i
-                                              : set.d;
+  const Wavefront& w = set.of(end);
   return w.exists && w.at(k_final) >= tl;
 }
 
@@ -40,18 +33,21 @@ i64 span_cost(const seq::Cigar& cigar, const align::Penalties& p,
   return cost;
 }
 
-// Peak payload bytes a retained (kHigh) pass over this subproblem would
-// bind: 3 components x sizeof(Offset) per diagonal, widths growing 2s+1
-// until capped by the full band. Drives the kUltralow base-case cut.
-u64 retained_bytes_estimate(i64 score, usize plen, usize tlen) {
-  const i64 band = static_cast<i64>(plen + tlen + 1);
-  const i64 knee = std::min(score, (band - 1) / 2);
-  const u64 growing = static_cast<u64>(knee + 1) * static_cast<u64>(knee + 1);
-  const u64 flat = score > knee
-                       ? static_cast<u64>(score - knee) * static_cast<u64>(band)
-                       : 0;
-  return (growing + flat) * 3u * sizeof(Offset);
-}
+// The retained rows, read for the backtrace, and the CIGAR it builds
+// back to front.
+struct RetainedTrace {
+  const std::vector<WavefrontSet>& sets;
+  seq::Cigar& cigar;
+
+  Offset at(Component c, i64 s, i32 k) const {
+    return sets[static_cast<usize>(s)].of(c).at(k);
+  }
+  void step() const noexcept {}
+  void push(char op) { cigar.push(op); }
+  [[noreturn]] void fail(const char* what) const {
+    throw Error(std::string("WFA ") + what);
+  }
+};
 
 }  // namespace
 
@@ -121,147 +117,52 @@ bool WfaAligner::extend_and_check(Wavefront& m, std::string_view pattern,
   return done;
 }
 
-void WfaAligner::compute_next(i64 score, usize plen, usize tlen) {
-  const i32 x = options_.penalties.mismatch;
-  const i32 oe = options_.penalties.gap_open + options_.penalties.gap_extend;
-  const i32 e = options_.penalties.gap_extend;
-  const usize s = static_cast<usize>(score);
-
-  sets_.emplace_back();  // sets_[s]; take source pointers only after this
-
-  const Wavefront* m_sub = (score >= x) ? &sets_[s - x].m : nullptr;
-  const Wavefront* m_gap = (score >= oe) ? &sets_[s - oe].m : nullptr;
-  const Wavefront* i_ext = (score >= e) ? &sets_[s - e].i : nullptr;
-  const Wavefront* d_ext = (score >= e) ? &sets_[s - e].d : nullptr;
-  auto live = [](const Wavefront* w) { return w != nullptr && w->exists; };
-  if (!live(m_sub) && !live(m_gap) && !live(i_ext) && !live(d_ext)) {
-    return;  // unreachable score (hole); the set stays null
-  }
-
-  i32 lo = std::numeric_limits<i32>::max();
-  i32 hi = std::numeric_limits<i32>::min();
-  for (const Wavefront* w : {m_sub, m_gap, i_ext, d_ext}) {
-    if (!live(w)) continue;
-    lo = std::min(lo, w->lo - 1);
-    hi = std::max(hi, w->hi + 1);
-  }
-  const i32 pl = static_cast<i32>(plen);
-  const i32 tl = static_cast<i32>(tlen);
-  lo = std::max(lo, -pl);  // diagonals below -plen / above tlen are invalid
-  hi = std::min(hi, tl);
-  if (lo > hi) return;
-
-  WavefrontSet& out = sets_[s];
-  out.m = new_wavefront(lo, hi);
-  out.i = new_wavefront(lo, hi);
-  out.d = new_wavefront(lo, hi);
-
+template <class Row, class Bind>
+void WfaAligner::step_row(i64 score, Row row, i32 pl, i32 tl,
+                          WavefrontSet& out, Bind bind) {
+  const align::Penalties& p = options_.penalties;
+  const WavefrontSet* sub_row = row(score - p.mismatch);
+  const WavefrontSet* gap_row = row(score - p.gap_open - p.gap_extend);
+  const WavefrontSet* ext_row = row(score - p.gap_extend);
+  const auto live = [](const WavefrontSet* set, Component c) {
+    return set != nullptr && set->of(c).exists ? &set->of(c) : nullptr;
+  };
   ComputeRowArgs args;
-  args.m_sub = live(m_sub) ? m_sub : nullptr;
-  args.m_gap = live(m_gap) ? m_gap : nullptr;
-  args.i_ext = live(i_ext) ? i_ext : nullptr;
-  args.d_ext = live(d_ext) ? d_ext : nullptr;
+  args.m_sub = live(sub_row, Component::kM);
+  args.m_gap = live(gap_row, Component::kM);
+  args.i_ext = live(ext_row, Component::kI);
+  args.d_ext = live(ext_row, Component::kD);
+  rule::RowRange range;
+  for (const Wavefront* w : {args.m_sub, args.m_gap, args.i_ext, args.d_ext}) {
+    if (w != nullptr) range.cover(w->lo, w->hi);
+  }
+  range.clip(pl, tl);
+  if (range.empty()) return;  // unreachable score (hole)
+
+  bind(out, range.lo, range.hi);
   args.out_m = &out.m;
   args.out_i = &out.i;
   args.out_d = &out.d;
-  args.lo = lo;
-  args.hi = hi;
+  args.lo = range.lo;
+  args.hi = range.hi;
   args.pl = pl;
   args.tl = tl;
   kernels_.compute_row(args);
-  counters_.computed_cells += 3 * static_cast<u64>(hi - lo + 1);
+  counters_.computed_cells += 3 * static_cast<u64>(range.width());
   ++counters_.wavefront_sets;
 }
 
-seq::Cigar WfaAligner::backtrace(i64 final_score, std::string_view pattern,
-                                 std::string_view text, Component begin,
-                                 Component end) {
-  const i32 x = options_.penalties.mismatch;
-  const i32 oe = options_.penalties.gap_open + options_.penalties.gap_extend;
-  const i32 e = options_.penalties.gap_extend;
-  const i32 pl = static_cast<i32>(pattern.size());
-  const i32 tl = static_cast<i32>(text.size());
-
-  enum class State { kM, kI, kD };
-  seq::Cigar cigar;
-  i64 s = final_score;
-  i32 k = tl - pl;
-  Offset off = tl;
-  State state = end == Component::kM   ? State::kM
-                : end == Component::kI ? State::kI
-                                       : State::kD;
-
-  while (true) {
-    const usize si = static_cast<usize>(s);
-    if (state == State::kM) {
-      const Offset sub =
-          (s >= x) ? mismatch_candidate(sets_[si - static_cast<usize>(x)].m.at(k),
-                                        k, pl, tl)
-                   : kOffsetNone;
-      const Offset ins = sets_[si].i.at(k);
-      const Offset del = sets_[si].d.at(k);
-      const Offset best = max3(sub, ins, del);
-      if (!offset_reachable(best)) {
-        // Start of the alignment: the score-0 seed on diagonal 0 plus its
-        // initial run of matches.
-        PIMWFA_CHECK(s == 0 && k == 0,
-                     "WFA backtrace stuck at s=" << s << " k=" << k);
-        for (Offset i = 0; i < off; ++i) cigar.push('M');
-        break;
-      }
-      PIMWFA_CHECK(off >= best, "WFA backtrace offset regression");
-      for (Offset i = best; i < off; ++i) cigar.push('M');
-      off = best;
-      if (sub == best) {
-        cigar.push('X');
-        s -= x;
-        --off;
-      } else if (ins == best) {
-        state = State::kI;
-      } else {
-        state = State::kD;
-      }
-    } else if (state == State::kI) {
-      // The span seed I[0][0] is the entry state, not an operation.
-      if (begin == Component::kI && s == 0 && k == 0 && off == 0) break;
-      cigar.push('I');
-      const Offset open_src =
-          (s >= oe) ? sets_[si - static_cast<usize>(oe)].m.at(k - 1)
-                    : kOffsetNone;
-      if (open_src == off - 1) {
-        state = State::kM;
-        s -= oe;
-      } else {
-        const Offset ext_src =
-            (s >= e) ? sets_[si - static_cast<usize>(e)].i.at(k - 1)
-                     : kOffsetNone;
-        PIMWFA_CHECK(ext_src == off - 1, "WFA backtrace broken I chain");
-        s -= e;
-      }
-      --off;
-      --k;
-    } else {
-      if (begin == Component::kD && s == 0 && k == 0 && off == 0) break;
-      cigar.push('D');
-      const Offset open_src =
-          (s >= oe) ? sets_[si - static_cast<usize>(oe)].m.at(k + 1)
-                    : kOffsetNone;
-      if (open_src == off) {
-        state = State::kM;
-        s -= oe;
-      } else {
-        const Offset ext_src =
-            (s >= e) ? sets_[si - static_cast<usize>(e)].d.at(k + 1)
-                     : kOffsetNone;
-        PIMWFA_CHECK(ext_src == off, "WFA backtrace broken D chain");
-        s -= e;
-      }
-      ++k;
-    }
-  }
-  counters_.backtrace_ops += cigar.size();
-  cigar.reverse();
-  return cigar;
+void WfaAligner::compute_next(i64 score, usize plen, usize tlen) {
+  sets_.emplace_back();  // sets_[score]; take source pointers only after this
+  step_row(
+      score,
+      [&](i64 s) { return s >= 0 ? &sets_[static_cast<usize>(s)] : nullptr; },
+      static_cast<i32>(plen), static_cast<i32>(tlen), sets_.back(),
+      [&](WavefrontSet& out, i32 lo, i32 hi) {
+        out.m = new_wavefront(lo, hi);
+        out.i = new_wavefront(lo, hi);
+        out.d = new_wavefront(lo, hi);
+      });
 }
 
 Wavefront WfaAligner::bind_ring_front(ScoreRing& ring, RingSlot& slot,
@@ -354,70 +255,26 @@ const WavefrontSet* WfaAligner::ring_row(const ScoreRing& ring,
 }
 
 const WavefrontSet& WfaAligner::ring_step(ScoreRing& ring) {
-  const i32 x = options_.penalties.mismatch;
-  const i32 oe = options_.penalties.gap_open + options_.penalties.gap_extend;
-  const i32 e = options_.penalties.gap_extend;
-  const i32 pl = static_cast<i32>(ring.pattern.size());
-  const i32 tl = static_cast<i32>(ring.text.size());
-
   ++ring.score;
   ++counters_.score_steps;
-  const i64 score = ring.score;
-  RingSlot& out_slot = ring.slots[static_cast<usize>(score) % ring.ring_size];
+  RingSlot& out_slot =
+      ring.slots[static_cast<usize>(ring.score) % ring.ring_size];
   ring.live_bytes -= out_slot.bytes;
   out_slot.bytes = 0;
   out_slot.set = WavefrontSet{};  // clears the expired score-(ring) set
 
   // NOTE: sources can alias the output slot only if ring_size were too
   // small; ring_size > max lookback guarantees distinct slots.
-  const WavefrontSet* sub_row = (score >= x) ? ring_row(ring, score - x)
-                                             : nullptr;
-  const WavefrontSet* gap_row = (score >= oe) ? ring_row(ring, score - oe)
-                                              : nullptr;
-  const WavefrontSet* ext_row = (score >= e) ? ring_row(ring, score - e)
-                                             : nullptr;
-  const Wavefront* m_sub =
-      (sub_row != nullptr && sub_row->m.exists) ? &sub_row->m : nullptr;
-  const Wavefront* m_gap =
-      (gap_row != nullptr && gap_row->m.exists) ? &gap_row->m : nullptr;
-  const Wavefront* i_ext =
-      (ext_row != nullptr && ext_row->i.exists) ? &ext_row->i : nullptr;
-  const Wavefront* d_ext =
-      (ext_row != nullptr && ext_row->d.exists) ? &ext_row->d : nullptr;
-  if (m_sub == nullptr && m_gap == nullptr && i_ext == nullptr &&
-      d_ext == nullptr) {
-    return out_slot.set;  // hole
-  }
-
-  i32 lo = std::numeric_limits<i32>::max();
-  i32 hi = std::numeric_limits<i32>::min();
-  for (const Wavefront* w : {m_sub, m_gap, i_ext, d_ext}) {
-    if (w == nullptr) continue;
-    lo = std::min(lo, w->lo - 1);
-    hi = std::max(hi, w->hi + 1);
-  }
-  lo = std::max(lo, -pl);
-  hi = std::min(hi, tl);
-  if (lo > hi) return out_slot.set;
-
-  out_slot.set.m = bind_ring_front(ring, out_slot, out_slot.m, lo, hi);
-  out_slot.set.i = bind_ring_front(ring, out_slot, out_slot.i, lo, hi);
-  out_slot.set.d = bind_ring_front(ring, out_slot, out_slot.d, lo, hi);
-  ComputeRowArgs args;
-  args.m_sub = m_sub;
-  args.m_gap = m_gap;
-  args.i_ext = i_ext;
-  args.d_ext = d_ext;
-  args.out_m = &out_slot.set.m;
-  args.out_i = &out_slot.set.i;
-  args.out_d = &out_slot.set.d;
-  args.lo = lo;
-  args.hi = hi;
-  args.pl = pl;
-  args.tl = tl;
-  kernels_.compute_row(args);
-  counters_.computed_cells += 3 * static_cast<u64>(hi - lo + 1);
-  ++counters_.wavefront_sets;
+  step_row(
+      ring.score, [&](i64 s) { return ring_row(ring, s); },
+      static_cast<i32>(ring.pattern.size()),
+      static_cast<i32>(ring.text.size()), out_slot.set,
+      [&](WavefrontSet& out, i32 lo, i32 hi) {
+        out.m = bind_ring_front(ring, out_slot, out_slot.m, lo, hi);
+        out.i = bind_ring_front(ring, out_slot, out_slot.i, lo, hi);
+        out.d = bind_ring_front(ring, out_slot, out_slot.d, lo, hi);
+      });
+  // A hole leaves M null, which neither call touches.
   extend_and_check(out_slot.set.m, ring.pattern, ring.text);
   update_progress(ring, out_slot.set.m);
   return out_slot.set;
@@ -567,7 +424,7 @@ WfaAligner::UltralowSplit WfaAligner::ultralow_split(std::string_view pattern,
   const usize v = static_cast<usize>(bp.offset - bp.k);
   const usize h = static_cast<usize>(bp.offset);
   const bool corner = (v == 0 && h == 0) || (v == plen && h == tlen);
-  split.base_case = corner || retained_bytes_estimate(bp.total, plen, tlen) <=
+  split.base_case = corner || rule::retained_bytes(bp.total, plen, tlen) <=
                                   options_.ultralow_base_wavefront_bytes;
   if (split.base_case) return split;
 
@@ -606,21 +463,12 @@ i64 WfaAligner::ultralow_recurse(std::string_view pattern,
                                  seq::Cigar& out) {
   const usize plen = sub.v1 - sub.v0;
   const usize tlen = sub.h1 - sub.h0;
-  const i32 o = options_.penalties.gap_open;
-  const i32 e = options_.penalties.gap_extend;
 
-  // Degenerate halves: a single gap run, free of gap_open when it
-  // continues the begin component's seam run.
+  // Degenerate halves: a single gap run.
   if (plen == 0 || tlen == 0) {
     for (usize i = 0; i < tlen; ++i) out.push('I');
     for (usize i = 0; i < plen; ++i) out.push('D');
-    if (tlen > 0) {
-      return (sub.begin == Component::kI ? 0 : o) + static_cast<i64>(tlen) * e;
-    }
-    if (plen > 0) {
-      return (sub.begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
-    }
-    return 0;
+    return rule::gap_run_score(options_.penalties, plen, tlen, sub.begin);
   }
 
   const UltralowSplit split = ultralow_split(pattern, text, sub);
@@ -680,7 +528,11 @@ align::AlignmentResult WfaAligner::align_retained(std::string_view pattern,
   align::AlignmentResult result;
   result.score = score;
   if (scope == align::AlignmentScope::kFull) {
-    result.cigar = backtrace(score, pattern, text, begin, end);
+    RetainedTrace trace{sets_, result.cigar};
+    rule::backtrace(trace, options_.penalties, score, static_cast<i32>(plen),
+                    tl, begin, end);
+    counters_.backtrace_ops += result.cigar.size();
+    result.cigar.reverse();
     result.has_cigar = true;
   }
   counters_.max_score = std::max(counters_.max_score, static_cast<u64>(score));
@@ -703,18 +555,9 @@ align::AlignmentResult WfaAligner::align_span(std::string_view pattern,
 
   align::AlignmentResult result;
 
-  // Degenerate inputs: the alignment is a single gap (or nothing), free of
-  // gap_open when it continues the begin component's seam run.
+  // Degenerate inputs: the alignment is a single gap (or nothing).
   if (plen == 0 || tlen == 0) {
-    const i32 o = options_.penalties.gap_open;
-    const i32 e = options_.penalties.gap_extend;
-    if (tlen > 0) {
-      result.score =
-          (begin == Component::kI ? 0 : o) + static_cast<i64>(tlen) * e;
-    } else if (plen > 0) {
-      result.score =
-          (begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
-    }
+    result.score = rule::gap_run_score(options_.penalties, plen, tlen, begin);
     if (scope == align::AlignmentScope::kFull) {
       seq::Cigar cigar;
       for (usize i = 0; i < tlen; ++i) cigar.push('I');

@@ -4,14 +4,11 @@
 // Exact global alignment in O(ns) time and O(s^2) memory, where s is the
 // optimal gap-affine penalty: wavefronts are evaluated for increasing
 // score, each first *extended* along matching diagonals (free matches),
-// then the next score's wavefront is *computed* from the recurrences
-//
-//   I[s][k] = max(M[s-o-e][k-1], I[s-e][k-1]) + 1
-//   D[s][k] = max(M[s-o-e][k+1], D[s-e][k+1])
-//   M[s][k] = max(M[s-x][k] + 1, I[s][k], D[s][k])
-//
-// until M[s][tlen - plen] reaches offset tlen. A backtrace over the stored
-// wavefronts reconstructs the CIGAR.
+// then the next score's wavefront is *computed* from the gap-affine
+// recurrence until M[s][tlen - plen] reaches offset tlen. A backtrace over
+// the stored wavefronts reconstructs the CIGAR. The recurrence, its row
+// ranges and the backtrace are wfa/rule.hpp's, which the DPU kernel
+// shares.
 //
 // Retained wavefronts come from the aligner's own arena, a SlabAllocator
 // (see allocator.hpp). The PIM port's DPU kernel keeps its wavefronts in
@@ -50,13 +47,8 @@ class WfaAligner {
     kUltralow,
   };
 
-  // Boundary component of a partial alignment. Long-read machinery
-  // (kUltralow recursion, PIM tiling) cuts a pair at a breakpoint that may
-  // sit inside a gap run; the two halves then begin/end mid-gap. A half
-  // that begins in kI/kD pays no gap_open for continuing the seam run
-  // (the opening half already paid it); a half that ends in kI/kD must
-  // end with that gap operation. kM at both ends is a plain alignment.
-  enum class Component : u8 { kM, kI, kD };
+  // Boundary component of a partial alignment (see wfa::Component).
+  using Component = wfa::Component;
 
   // Optimal meeting point reported by the bidirectional score pass.
   struct Breakpoint {
@@ -180,6 +172,14 @@ class WfaAligner {
   // termination cell (k = tlen - plen reaching offset tlen) was hit.
   bool extend_and_check(Wavefront& m, std::string_view pattern,
                         std::string_view text);
+  // The score step compute_next and ring_step share: takes the source
+  // sets from `row(s)` (null for a hole or a score out of range), the row
+  // range from rule::RowRange, binds the three rows of `out` with
+  // `bind(out, lo, hi)`, runs the row kernel and counts the cells. `out`
+  // stays null for a hole.
+  template <class Row, class Bind>
+  void step_row(i64 score, Row row, i32 pl, i32 tl, WavefrontSet& out,
+                Bind bind);
   // Compute wavefront set for `score` from stored predecessors.
   void compute_next(i64 score, usize plen, usize tlen);
   // Seed/advance/query one score-only ring (the kLow machinery).
@@ -206,9 +206,6 @@ class WfaAligner {
                                         align::AlignmentScope scope,
                                         Component begin, Component end,
                                         i64 score_cap);
-  seq::Cigar backtrace(i64 final_score, std::string_view pattern,
-                       std::string_view text, Component begin,
-                       Component end);
   void note_live_bytes();
 
   Options options_;

@@ -599,6 +599,36 @@ TEST(ReadMapper, LowerCaseReadsMapAsUpperCase) {
   expect_identical(upper, lower, "lower-case reads");
 }
 
+// A read holding an IUPAC code is outside map()'s alphabet: it stays
+// unmapped and must not fail the call (seq::reverse_complement throws on
+// it), so every clean read beside it maps as in a call without it.
+TEST(ReadMapper, ReadsOutsideTheAlphabetStayUnmappedAlone) {
+  const CaseWorkload workload;
+  std::string upper_r = workload.queries[0];
+  upper_r[50] = 'R';
+  std::string lower_y = lower_cased(workload.queries[1]);
+  lower_y[10] = 'y';
+  std::vector<std::string> mixed = workload.queries;
+  const usize bad[] = {5, 40};
+  mixed.insert(mixed.begin() + bad[0], upper_r);
+  mixed.insert(mixed.begin() + bad[1], lower_y);
+
+  ReadMapper mapper(workload.genome, backend_options("cpu"));
+  const MapResult clean = mapper.map(workload.queries);
+  MapResult result;
+  ASSERT_NO_THROW(result = mapper.map(mixed));
+  ASSERT_EQ(result.mappings.size(), mixed.size());
+  EXPECT_FALSE(result.mappings[bad[0]].mapped);
+  EXPECT_FALSE(result.mappings[bad[1]].mapped);
+  // Neither is seeded, and the clean reads map as they do alone.
+  EXPECT_EQ(result.stats.candidates, clean.stats.candidates);
+  EXPECT_EQ(result.stats.verified, clean.stats.verified);
+  EXPECT_EQ(mapped_reads(clean), workload.queries.size());
+  result.mappings.erase(result.mappings.begin() + bad[1]);
+  result.mappings.erase(result.mappings.begin() + bad[0]);
+  expect_identical(clean, result, "clean reads beside bad ones");
+}
+
 // --- options validation ---------------------------------------------------
 
 TEST(MapperOptions, Validation) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "cpu/simd/simd.hpp"
 #include "seq/generator.hpp"
 #include "test_util.hpp"
+#include "wfa/rule.hpp"
 #include "wfa/wfa_aligner.hpp"
 
 namespace pimwfa {
@@ -353,6 +355,127 @@ TEST(SimdWfaKernels, VectorKernelsAreBitIdenticalInsideWfa) {
           << cpu::simd::level_name(level) << " pair " << i;
     }
   }
+}
+
+// A wavefront row over [lo, hi] between kWavefrontPad sentinel slots on
+// either side, as WfaAligner allocates its rows.
+class PaddedRow {
+ public:
+  PaddedRow(i32 lo, i32 hi, wfa::Offset fill)
+      : slots_(static_cast<usize>(hi - lo + 1) + 2 * wfa::kWavefrontPad,
+               wfa::kOffsetNone) {
+    row_.exists = true;
+    row_.lo = lo;
+    row_.hi = hi;
+    row_.offsets = slots_.data() + wfa::kWavefrontPad;
+    for (i32 k = lo; k <= hi; ++k) row_.set(k, fill);
+  }
+  PaddedRow(const PaddedRow&) = delete;
+  PaddedRow& operator=(const PaddedRow&) = delete;
+
+  wfa::Wavefront& row() { return row_; }
+  bool pads_intact() const {
+    const usize pad = wfa::kWavefrontPad;
+    for (usize i = 0; i < pad; ++i) {
+      if (slots_[i] != wfa::kOffsetNone ||
+          slots_[slots_.size() - 1 - i] != wfa::kOffsetNone) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<wfa::Offset> slots_;
+  wfa::Wavefront row_;
+};
+
+// Synthetic rows no alignment has to produce: each source null or live
+// over its own range, holding kOffsetNone and offsets that land exactly on
+// the trims (an insertion at h == tlen, a deletion at v == plen, and one
+// past each), in problems small enough that the row range is clipped.
+TEST(SimdWfaKernels, RowKernelsMatchTheRuleCellByCell) {
+  Rng rng{0x5eed5};
+  constexpr wfa::Offset kUnwritten = 1 << 29;
+  usize clipped = 0;
+  usize vector_rows = 0;
+  for (usize trial = 0; trial < 600; ++trial) {
+    const i64 max_length = trial % 4 == 0 ? 40 : 12;
+    const i32 pl = static_cast<i32>(rng.next_range(1, max_length));
+    const i32 tl = static_cast<i32>(rng.next_range(1, max_length));
+    const auto offset_at = [&](i32 k) -> wfa::Offset {
+      // A valid cell on diagonal k holds h in [0, tl] with v = h - k in
+      // [0, pl]. Besides kOffsetNone, draw that box's edges: the trims.
+      const i32 h_min = std::max(0, k);
+      const i32 h_max = std::min(tl, k + pl);
+      const wfa::Offset menu[] = {
+          wfa::kOffsetNone, tl, tl - 1, k + pl, k + pl - 1,
+          static_cast<wfa::Offset>(rng.next_range(h_min, h_max))};
+      const wfa::Offset off = menu[rng.next_below(std::size(menu))];
+      return off >= h_min && off <= h_max ? off : wfa::kOffsetNone;
+    };
+    std::optional<PaddedRow> sources[4];  // M[s-x], M[s-o-e], I[s-e], D[s-e]
+    wfa::rule::RowRange range;
+    for (std::optional<PaddedRow>& source : sources) {
+      if (rng.next_bool(0.25)) continue;
+      const i32 lo = static_cast<i32>(rng.next_range(-pl, tl));
+      const i32 hi = static_cast<i32>(rng.next_range(lo, tl));
+      source.emplace(lo, hi, wfa::kOffsetNone);
+      for (i32 k = lo; k <= hi; ++k) source->row().set(k, offset_at(k));
+      range.cover(lo, hi);
+    }
+    const wfa::rule::RowRange wide = range;
+    range.clip(pl, tl);
+    if (range.empty()) continue;
+    if (range.lo != wide.lo || range.hi != wide.hi) ++clipped;
+    if (range.width() >= 8) ++vector_rows;
+
+    wfa::ComputeRowArgs args;
+    const auto live = [](std::optional<PaddedRow>& row) {
+      return row ? &row->row() : nullptr;
+    };
+    args.m_sub = live(sources[0]);
+    args.m_gap = live(sources[1]);
+    args.i_ext = live(sources[2]);
+    args.d_ext = live(sources[3]);
+    args.lo = range.lo;
+    args.hi = range.hi;
+    args.pl = pl;
+    args.tl = tl;
+    const auto at = [](const wfa::Wavefront* w, i32 k) {
+      return w != nullptr ? w->at(k) : wfa::kOffsetNone;
+    };
+    const auto run = [&](wfa::ComputeRowFn compute_row, const char* label) {
+      PaddedRow m(range.lo, range.hi, kUnwritten);
+      PaddedRow i(range.lo, range.hi, kUnwritten);
+      PaddedRow d(range.lo, range.hi, kUnwritten);
+      args.out_m = &m.row();
+      args.out_i = &i.row();
+      args.out_d = &d.row();
+      compute_row(args);
+      for (i32 k = range.lo; k <= range.hi; ++k) {
+        const wfa::rule::Cell want = wfa::rule::cell(
+            at(args.m_sub, k), at(args.m_gap, k - 1), at(args.i_ext, k - 1),
+            at(args.m_gap, k + 1), at(args.d_ext, k + 1), k, pl, tl);
+        ASSERT_EQ(m.row().at(k), want.m) << label << " trial " << trial
+                                         << " M at k=" << k;
+        ASSERT_EQ(i.row().at(k), want.i) << label << " trial " << trial
+                                         << " I at k=" << k;
+        ASSERT_EQ(d.row().at(k), want.d) << label << " trial " << trial
+                                         << " D at k=" << k;
+      }
+      EXPECT_TRUE(m.pads_intact() && i.pads_intact() && d.pads_intact())
+          << label << " trial " << trial << " wrote past its row";
+    };
+    run(&wfa::compute_row_scalar, "compute_row_scalar");
+    for (const SimdLevel level : available_levels()) {
+      run(cpu::simd::wfa_kernels(level).compute_row,
+          cpu::simd::level_name(level));
+    }
+  }
+  // The sweep reached the clip and rows wide enough for vector blocks.
+  EXPECT_GT(clipped, 100u);
+  EXPECT_GT(vector_rows, 100u);
 }
 
 // --- backend integration ------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: structural rules a compiler run cannot express.
 
-Five invariants, each of which has silently rotted in some codebase like
+Six invariants, each of which has silently rotted in some codebase like
 this one and is cheap to pin here:
 
   headers      Every header under src/ is self-contained: it compiles as
@@ -37,6 +37,14 @@ this one and is cheap to pin here:
                driver that builds its own backend from options grows a
                second constructor and option checks for modes it cannot
                serve.
+
+  rule         The WFA rule lives once, in src/wfa/rule.hpp: outside it
+               no file under src/ names mismatch_candidate, defines a
+               max3 helper, or calls a function with the literal 'X' as
+               its only argument (a backtrace emitting a mismatch). The
+               host and the DPU kernel must give bit-identical answers;
+               a second copy of the recurrence or of the backtrace's
+               tie-break is how they drift apart.
 
 Run from the repo root (CI runs it in the lint job):
 
@@ -74,6 +82,18 @@ DRIVERS = [Path("src/align") / name for name in (
 DRIVER_INCLUDE = re.compile(
     r'#\s*include\s*"((?:align/(?:registry|hybrid)\.hpp)|'
     r'(?:cpu|pim|upmem|wfa|map)/[^"]*)"')
+
+# The one home of the WFA rule, and what may appear nowhere else.
+RULE_HOME = Path("src/wfa/rule.hpp")
+RULE_COPIES = [
+    (re.compile(r"\bmismatch_candidate\b"), "names mismatch_candidate"),
+    (re.compile(r"\b(?!return\b)[A-Za-z_][\w:]*[\s*&]+max3\s*[(=]"),
+     "defines max3"),
+    # An expression statement `f('X');` or `obj.f('X');`, not `return
+    # count('X');`.
+    (re.compile(r"(?:^|[;{}])\s*[\w.>:-]+\s*\(\s*'X'\s*\)\s*;"),
+     "emits a mismatch op"),
+]
 
 
 def strip_comments(text: str) -> str:
@@ -180,6 +200,24 @@ def check_drivers() -> list:
     return failures
 
 
+def check_rule() -> list:
+    failures = []
+    for path in iter_source_files():
+        rel = path.relative_to(REPO)
+        if rel == RULE_HOME:
+            continue
+        text = strip_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for pattern, what in RULE_COPIES:
+                if pattern.search(line):
+                    failures.append(
+                        (f"{rel}:{lineno}",
+                         f"{what} - the recurrence and the backtrace live "
+                         f"in {RULE_HOME}; call wfa::rule instead of "
+                         "copying it"))
+    return failures
+
+
 def write_step_summary(results: dict) -> None:
     """Appends a per-invariant table to $GITHUB_STEP_SUMMARY when set."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
@@ -221,6 +259,7 @@ def main() -> int:
         "sleeps": check_sleeps(),
         "backends": check_backends(),
         "drivers": check_drivers(),
+        "rule": check_rule(),
     }
 
     worst = 0
